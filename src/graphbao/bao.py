@@ -7,14 +7,23 @@ table per substitution map.  The same RelStructure type describes both
 graph-derived structures and ultrafilter structures recovered from an
 algebra, so the round trip algebra -> ultrafilter structure -> complex
 algebra can be compared exactly.
+
+Both operators are completely additive (Jonsson-Tarski), so each is read
+off its action on atoms: c_i(x) ORs the R_i-class masks that meet x, and
+s_sigma(x) gathers the bits of x through sigma's atom table in one C-level
+call.  Only the tables of subst_generators(n) are built atom by atom; every
+other map is composed along table[sigma o tau][a] = table[tau][table[sigma][a]],
+the Scomp identity of Henkin-Monk-Tarski, Cylindric Algebras I.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import itemgetter
 
-from .atoms import AtomStructure, all_sigmas, restrict_partition, sigma_rank
+from .atoms import (AtomStructure, all_sigmas, compose_sigma, restrict_partition,
+                    sigma_rank, subst_atom)
 from .bitset import iter_bits
 from .errors import SizeLimitError
 
@@ -24,6 +33,12 @@ SIGNATURES = {
     "PA": frozenset("cs"),
     "PEA": frozenset("cds"),
 }
+
+
+def subst_generators(n: int) -> tuple[tuple[int, ...], ...]:
+    """A transposition, the n-cycle and a replacement: they generate all n^n maps."""
+    return ((1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,),
+            (1,) + tuple(range(1, n)))
 
 
 @dataclass(frozen=True)
@@ -57,11 +72,19 @@ class RelStructure:
                 per_atom.append(cid)
             class_of.append(tuple(per_atom))
             class_masks.append(tuple(masks))
-        from .atoms import subst_atom
-        subst = []
-        for sigma in all_sigmas(n):
-            subst.append(tuple(s.index_of(subst_atom(atom, sigma)) for atom in atoms))
-        return cls(n, len(atoms), diag, tuple(class_of), tuple(class_masks), tuple(subst))
+        generators = {g: tuple(s.index_of(subst_atom(atom, g)) for atom in atoms)
+                      for g in subst_generators(n)}
+        tables = {tuple(range(n)): tuple(range(len(atoms)))}
+        reached = list(tables)
+        for sigma in reached:
+            for g, g_table in generators.items():
+                composed = compose_sigma(sigma, g)
+                if composed not in tables:
+                    tables[composed] = itemgetter(*tables[sigma])(g_table)
+                    reached.append(composed)
+        assert len(tables) == n ** n, "generators must reach every map"
+        subst = tuple(tables[sigma] for sigma in all_sigmas(n))
+        return cls(n, len(atoms), diag, tuple(class_of), tuple(class_masks), subst)
 
     def subst_for(self, sigma: tuple[int, ...]) -> tuple[int, ...]:
         return self.subst_tables[sigma_rank(self.n)[sigma]]
@@ -106,21 +129,13 @@ class FiniteBao:
     def is_atom(self, x: int) -> bool:
         return x != 0 and x & (x - 1) == 0
 
-    def atoms_in(self, x: int):
-        return iter_bits(x)
-
     # operators -----------------------------------------------------------
     def c(self, i: int, x: int) -> int:
         """Cylindrification: union of the equivalence classes meeting x."""
         out = 0
-        seen = set()
-        class_of = self.rel.cyl_class_of[i]
-        masks = self.rel.cyl_class_masks[i]
-        for a in iter_bits(x):
-            cid = class_of[a]
-            if cid not in seen:
-                seen.add(cid)
-                out |= masks[cid]
+        for mask in self.rel.cyl_class_masks[i]:
+            if mask & x:
+                out |= mask
         return out
 
     def d(self, i: int, j: int) -> int:
@@ -133,11 +148,11 @@ class FiniteBao:
         if "s" not in self.ops:
             raise ValueError(f"substitutions not in signature {self.signature}")
         table = self.rel.subst_for(sigma)
-        out = 0
-        for a in range(self.natoms):
-            if x >> table[a] & 1:
-                out |= 1 << a
-        return out
+        if self.natoms < 2:
+            # every map fixes a lone atom; itemgetter of one index is no tuple
+            return x
+        bits = format(x, f"0{self.natoms}b")[::-1]  # bits[b] is bit b of x
+        return int("".join(itemgetter(*table)(bits))[::-1], 2)
 
     # derived elements ------------------------------------------------------
     def dist_element(self, i: int) -> int:
@@ -298,15 +313,3 @@ def complex_algebra(s: AtomStructure, signature: str = "PEA",
         raise SizeLimitError(f"{len(s)} atoms exceed bound {atom_bound}")
     return FiniteBao(s.tables(), signature, atom_structure=s)
 
-
-def corrupt_cyl_table(rel: RelStructure, i: int = 0, atom: int = 0) -> RelStructure:
-    """Test fixture: drop one atom from its own equivalence class mask.
-
-    The relation loses reflexivity at that atom, so x <= c_i x fails there.
-    """
-    per_atom = rel.cyl_class_of[i]
-    masks = list(rel.cyl_class_masks[i])
-    masks[per_atom[atom]] &= ~(1 << atom)
-    class_masks = list(rel.cyl_class_masks)
-    class_masks[i] = tuple(masks)
-    return replace(rel, cyl_class_masks=tuple(class_masks))

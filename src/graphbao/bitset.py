@@ -13,10 +13,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def bit_indices(mask: int) -> list[int]:
-    return list(iter_bits(mask))
-
-
 def mask_of(indices: Iterable[int]) -> int:
     out = 0
     for i in indices:

@@ -104,6 +104,8 @@ def load_config(args) -> dict:
         raise ValueError("dimension must be between 3 and 5")
     if config["atom_bound"] <= 0 or config["sample_count"] <= 0:
         raise ValueError("bounds must be positive")
+    if type(config["depth"]) is not int or config["depth"] < 0:  # bool is no depth
+        raise ValueError(f"depth must be a non-negative integer, not {config['depth']!r}")
     return config
 
 
@@ -202,7 +204,6 @@ def cmd_bao(args, config) -> int:
         return 0
     if args.bao_cmd == "check":
         algebra = _build_algebra(args, config)
-        started = time.perf_counter()
         if args.axioms == "ca":
             report = equations.check_ca_axioms(algebra, config["seed"],
                                                config["sample_count"])
@@ -214,8 +215,6 @@ def cmd_bao(args, config) -> int:
                 eqs = equations.parse_equations(handle.read(), algebra.n)
             report = equations.check_axiom_suite(algebra, eqs, config["seed"],
                                                  config["sample_count"])
-        if report.items:
-            report.items[0].seconds = time.perf_counter() - started
         emit(report, config)
         return 0 if report.ok else 1
     if args.bao_cmd == "discriminator":

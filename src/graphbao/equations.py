@@ -19,6 +19,7 @@ import importlib.resources
 import itertools
 import random
 import re
+import time
 from dataclasses import dataclass
 
 from .atoms import all_sigmas, compose_sigma
@@ -337,6 +338,7 @@ def check_axiom_suite(algebra: FiniteBao, equations, seed: int,
             # tables); the sampled tier still finds counterexamples
             report.config["subalgebra"] = "unavailable"
     for eq in equations:
+        started = time.perf_counter()
         verdict = check_equation_sampled(algebra, eq, samples, rng, pool)
         detail = {"mode": verdict.mode, "checked": verdict.checked}
         if verdict.holds and sub is not None:
@@ -345,7 +347,7 @@ def check_axiom_suite(algebra: FiniteBao, equations, seed: int,
                       "subalgebra_size": len(sub)}
         if not verdict.holds:
             detail["counterexample"] = verdict.counterexample
-        report.add(eq.name, verdict.holds, detail)
+        report.add(eq.name, verdict.holds, detail, seconds=time.perf_counter() - started)
     return report
 
 

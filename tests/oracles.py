@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
+from graphbao.atoms import all_sigmas, subst_atom
+from graphbao.bao import RelStructure
+from graphbao.bitset import iter_bits
 from graphbao.graph import Graph, inflate
 from graphbao.networks import UfNetwork, validate_network
 
@@ -116,3 +120,48 @@ def naive_survives(m, net, depth: int) -> bool:
                    for resp in naive_game_responses(m, net, move)):
             return False
     return True
+
+
+def cyl_per_bit(algebra, i: int, x: int) -> int:
+    """c_i one atom of x at a time: the union of the classes of its atoms."""
+    out = 0
+    seen = set()
+    class_of = algebra.rel.cyl_class_of[i]
+    masks = algebra.rel.cyl_class_masks[i]
+    for a in iter_bits(x):
+        cid = class_of[a]
+        if cid not in seen:
+            seen.add(cid)
+            out |= masks[cid]
+    return out
+
+
+def atom_columns(elements, natoms: int) -> list[tuple[str, ...]]:
+    """Column a lists, element by element, whether atom a lies in it."""
+    return list(zip(*(format(x, f"0{natoms}b")[::-1] for x in elements)))
+
+
+def subst_columns(table, columns) -> list[tuple[str, ...]]:
+    """s_sigma on a batch of elements, atom by atom: a is in s_sigma(x) iff
+    table[a] is in x, so column a of the images is column table[a]."""
+    return [columns[b] for b in table]
+
+
+def direct_subst_tables(structure) -> tuple[tuple[int, ...], ...]:
+    """One table per map in rank order, every entry from subst_atom."""
+    return tuple(tuple(structure.index_of(subst_atom(atom, sigma))
+                       for atom in structure.atoms)
+                 for sigma in all_sigmas(structure.n))
+
+
+def corrupt_cyl_table(rel: RelStructure, i: int = 0, atom: int = 0) -> RelStructure:
+    """Drop one atom from its own equivalence class mask.
+
+    The relation loses reflexivity at that atom, so x <= c_i x fails there.
+    """
+    per_atom = rel.cyl_class_of[i]
+    masks = list(rel.cyl_class_masks[i])
+    masks[per_atom[atom]] &= ~(1 << atom)
+    class_masks = list(rel.cyl_class_masks)
+    class_masks[i] = tuple(masks)
+    return replace(rel, cyl_class_masks=tuple(class_masks))

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from graphbao.atoms import (all_partitions, all_sigmas, enumerate_atoms,
-                            subst_atom)
-from graphbao.bao import FiniteBao, complex_algebra, corrupt_cyl_table
+from graphbao.atoms import (all_partitions, all_sigmas, compose_sigma,
+                            enumerate_atoms, subst_atom)
+from graphbao.bao import FiniteBao, complex_algebra, subst_generators
 from graphbao.equations import (Equation, check_ca_axioms, check_discriminator,
                                 check_equation, check_equation_sampled,
                                 check_pea_axioms, eval_term, parse_equations,
                                 UnboundVariableError)
 from graphbao.errors import InfeasibleError, SizeLimitError
-from graphbao.graph import complete_graph
+from graphbao.graph import complete_graph, cycle_graph, path_graph
+from oracles import (atom_columns, corrupt_cyl_table, cyl_per_bit,
+                     direct_subst_tables, subst_columns)
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +108,60 @@ class TestComplexAlgebra:
         assert a_k1.dims(0) == frozenset()
         assert a_k1.dims(a_k1.top) == frozenset()
         assert a_k1.dims(a_k1.d(0, 1)) == frozenset({0, 1})
+
+
+DIFFERENTIAL_GRAPHS = {"K1": complete_graph(1), "K2": complete_graph(2),
+                       "P3": path_graph(3), "C3": cycle_graph(3), "C6": cycle_graph(6)}
+
+
+@pytest.fixture(scope="module", params=[
+    ("K1", 3), ("K2", 3), ("P3", 3), ("C3", 3), ("C6", 3), ("K1", 4), ("K2", 4)],
+    ids=lambda case: f"{case[0]}n{case[1]}")
+def probed_algebra(request):
+    """An algebra, its directly built substitution tables, and its probe
+    elements: 0, top, every diagonal, strided singletons and 200 seeded
+    random elements."""
+    name, n = request.param
+    structure = enumerate_atoms(DIFFERENTIAL_GRAPHS[name], n, max_atoms=6000)
+    algebra = complex_algebra(structure)
+    rng = random.Random(20)
+    probes = [0, algebra.top]
+    probes += [algebra.d(i, j) for i in range(n) for j in range(n)]
+    probes += [1 << a for a in range(0, algebra.natoms, max(1, algebra.natoms // 7))]
+    probes += [rng.getrandbits(algebra.natoms) for _ in range(200)]
+    return algebra, direct_subst_tables(structure), probes
+
+
+class TestKernelsAgainstOracles:
+    def test_tables_match_direct_build(self, probed_algebra):
+        algebra, direct, _ = probed_algebra
+        assert algebra.rel.subst_tables == direct
+
+    def test_c_matches_per_bit(self, probed_algebra):
+        algebra, _, probes = probed_algebra
+        for i in range(algebra.n):
+            for x in probes:
+                assert algebra.c(i, x) == cyl_per_bit(algebra, i, x)
+
+    def test_s_matches_atom_columns(self, probed_algebra):
+        algebra, direct, probes = probed_algebra
+        columns = atom_columns(probes, algebra.natoms)
+        for sigma, table in zip(all_sigmas(algebra.n), direct):
+            images = [algebra.s(sigma, x) for x in probes]
+            assert atom_columns(images, algebra.natoms) == subst_columns(table, columns)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_generators_reach_every_map(n):
+    reached = [tuple(range(n))]
+    seen = set(reached)
+    for sigma in reached:
+        for g in subst_generators(n):
+            composed = compose_sigma(sigma, g)
+            if composed not in seen:
+                seen.add(composed)
+                reached.append(composed)
+    assert seen == set(all_sigmas(n))
 
 
 class TestEvalAndTerms:
@@ -204,6 +260,7 @@ class TestAxiomSuites:
 
     def test_fault_injection_fails_c2_or_c3(self, a_k1):
         broken = FiniteBao(corrupt_cyl_table(a_k1.rel, i=0, atom=5), "CA")
+        assert not broken.c(0, 1 << 5) >> 5 & 1
         report = check_ca_axioms(broken, seed=1, samples=2000)
         assert not report.ok
         failing = {item.name.split("[")[0] for item in report.items

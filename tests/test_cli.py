@@ -102,6 +102,14 @@ class TestBaoVerbs:
                                "--axioms", "ca", "--samples", "200", "--seed", "1")
         assert code == 0 and "FAILED" not in out
 
+    def test_check_times_every_item(self, capsys):
+        code, out, _ = run_cli(capsys, "bao", "check", "--graph", "K1",
+                               "--axioms", "ca", "--samples", "50", "--seed", "1",
+                               "--output", "json")
+        items = json.loads(out)["items"]
+        assert code == 0 and len(items) > 1
+        assert all(item["seconds"] > 0 for item in items)
+
     def test_check_false_axiom_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.eqn"
         bad.write_text("BAD forall i : (= (c i x) x)\n")
@@ -239,6 +247,18 @@ class TestPositionalGraphForm:
     def test_game_run_positional(self, capsys):
         code, out, _ = run_cli(capsys, "game", "run", "K1", "--depth", "1")
         assert code == 0 and "survives" in out
+
+    def test_negative_depth_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "game", "run", "K1", "--depth", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "depth" in err and err.count("\n") == 1
+
+    def test_non_integer_depth_in_config_is_usage_error(self, capsys, tmp_path):
+        for bad in ("2", 1.5, True):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"depth": bad}))
+            code, _, err = run_cli(capsys, "game", "run", "K1", "--config", str(cfg))
+            assert code == 2 and err.startswith("error:") and "depth" in err
 
     def test_missing_graph_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "atoms", "enumerate")
