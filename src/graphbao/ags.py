@@ -52,6 +52,21 @@ class AgsModel:
     def chi_inflated(self) -> int:
         return chromatic_number(self.graph)[0]
 
+    @cached_property
+    def pattern_masks(self) -> dict[tuple[int, ...], int]:
+        """Atom mask of each diagonal pattern."""
+        masks: dict[tuple[int, ...], int] = {}
+        for idx, atom in enumerate(self.structure.atoms):
+            masks[atom.sim] = masks.get(atom.sim, 0) | 1 << idx
+        return masks
+
+    def proj_point(self, atom: int, i: int) -> int | None:
+        """Vertex generating the i-projection of the principal ultrafilter
+        at the atom, or None for the improper filter."""
+        if self.algebra.dist_element(i) >> atom & 1:
+            return self.atom_value[i][atom]
+        return None
+
     def proj(self, i: int, a: int) -> int:
         """Vertex set of the values taken at coordinate i by the
         i-distinguishing atoms under a."""
@@ -228,11 +243,7 @@ def check_projection_properties(m: AgsModel, seed: int = 1) -> Report:
     report = Report("projections", {"seed": seed})
     n = m.n
 
-    def proj_point(atom: int, i: int):
-        """Vertex generating the projection, or None for the improper filter."""
-        if A.dist_element(i) >> atom & 1:
-            return m.atom_value[i][atom]
-        return None
+    proj_point = m.proj_point
 
     ok = True
     for a in range(A.natoms):

@@ -100,11 +100,14 @@ def load_config(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
+    for key in ("n", "seed", "atom_bound", "sample_count", "depth"):
+        if type(config[key]) is not int:  # a bool is no integer here
+            raise ValueError(f"{key} must be an integer, not {config[key]!r}")
     if not 3 <= config["n"] <= 5:
         raise ValueError("dimension must be between 3 and 5")
     if config["atom_bound"] <= 0 or config["sample_count"] <= 0:
         raise ValueError("bounds must be positive")
-    if type(config["depth"]) is not int or config["depth"] < 0:  # bool is no depth
+    if config["depth"] < 0:
         raise ValueError(f"depth must be a non-negative integer, not {config['depth']!r}")
     return config
 
@@ -260,7 +263,8 @@ def cmd_net(args, config) -> int:
     g = load_graph(args.graph)
     model = ags_mod.build_model(g, config["n"], atom_bound=config["atom_bound"])
     with open(args.network) as handle:
-        net = networks.network_from_json(json.load(handle), config["n"])
+        net = networks.network_from_json(json.load(handle), config["n"],
+                                         model.algebra.natoms)
     if args.net_cmd == "validate":
         violations = networks.validate_network(net, model, args.mode)
         report = Report("network-validation")

@@ -10,8 +10,10 @@ about the untruncated game.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .ags import AgsModel
 from .atoms import Atom, all_sigmas, canonical_partition, is_i_distinguishing
@@ -75,64 +77,42 @@ def initial_network(m: AgsModel) -> UfNetwork:
     return UfNetwork(m.n, (0,), {(0,) * m.n: bottom})
 
 
-def tuple_pattern(t: tuple[int, ...]) -> tuple[int, ...]:
-    return canonical_partition(t)
-
-
-def atoms_by_pattern(m: AgsModel) -> dict[tuple[int, ...], list[int]]:
-    cache = getattr(m, "_atoms_by_pattern", None)
-    if cache is None:
-        cache = {}
-        for idx, atom in enumerate(m.structure.atoms):
-            cache.setdefault(atom.sim, []).append(idx)
-        m._atoms_by_pattern = cache
-    return cache
-
-
-def validate_network(net: UfNetwork, m: AgsModel, mode: str = "polyadic") -> list[dict]:
+def validate_network(net: UfNetwork, m: AgsModel, mode: str = "polyadic",
+                     tuples=None) -> list[dict]:
     """Exhaustive check of the diagonal, cylindric and (optionally) polyadic
-    conditions; returns the list of violations."""
+    conditions; returns the list of violations.  With `tuples`, only the
+    conditions of the listed tuples are checked (each tuple with all of its
+    cylindric neighbours and substitution images)."""
+    n, labels, atoms, rel = net.n, net.labels, m.structure.atoms, m.algebra.rel
+    everything = list(itertools.product(net.nodes, repeat=n))
+    for v in everything:
+        if v not in labels:
+            return [{"kind": "missing-label", "tuple": v}]
     violations = []
-    n = net.n
-    atoms = m.structure.atoms
-    rel = m.algebra.rel
-    tuples = list(itertools.product(net.nodes, repeat=n))
+    tuples = everything if tuples is None else tuples
     for v in tuples:
-        if v not in net.labels:
-            violations.append({"kind": "missing-label", "tuple": v})
-            return violations
+        sim = atoms[labels[v]].sim
+        if canonical_partition(v) != sim:
+            violations += [{"kind": "diagonal", "tuple": v, "i": i, "j": j}
+                           for i in range(n) for j in range(n)
+                           if (sim[i] == sim[j]) != (v[i] == v[j])]
     for v in tuples:
-        sim = atoms[net.labels[v]].sim
-        for i in range(n):
-            for j in range(n):
-                if (sim[i] == sim[j]) != (v[i] == v[j]):
-                    violations.append({"kind": "diagonal", "tuple": v, "i": i, "j": j})
-    for v in tuples:
-        lab = net.labels[v]
-        for i in range(n):
+        lab = labels[v]
+        for i, class_of in enumerate(rel.cyl_class_of):
             for node in net.nodes:
                 w = v[:i] + (node,) + v[i + 1:]
-                if w == v:
-                    continue
-                if rel.cyl_class_of[i][lab] != rel.cyl_class_of[i][net.labels[w]]:
+                if class_of[lab] != class_of[labels[w]]:
                     violations.append({"kind": "cylindric", "tuple": v, "i": i,
                                        "other": w})
     if mode == "polyadic":
         for v in tuples:
-            lab = net.labels[v]
-            for rank, sigma in enumerate(all_sigmas(n)):
-                w = tuple(v[sigma[k]] for k in range(n))
-                if net.labels[w] != rel.subst_tables[rank][lab]:
+            lab = labels[v]
+            for sigma, get, table in zip(all_sigmas(n), _sigma_getters(n),
+                                         rel.subst_tables):
+                if labels[get(v)] != table[lab]:
                     violations.append({"kind": "polyadic", "tuple": v,
                                        "sigma": sigma})
     return violations
-
-
-def projection_point(m: AgsModel, atom: int, i: int) -> int | None:
-    """Generating vertex of the i-projection, or None for the improper filter."""
-    if m.algebra.dist_element(i) >> atom & 1:
-        return m.atom_value[i][atom]
-    return None
 
 
 def boundary(net: UfNetwork, m: AgsModel) -> PatchSystem:
@@ -145,10 +125,10 @@ def boundary(net: UfNetwork, m: AgsModel) -> PatchSystem:
     assign: dict[frozenset, int] = {}
     for v in itertools.product(net.nodes, repeat=n):
         for i in range(n):
-            if not is_i_distinguishing(tuple_pattern(v), i):
+            if not is_i_distinguishing(canonical_partition(v), i):
                 continue
             others = frozenset(v[k] for k in range(n) if k != i)
-            point = projection_point(m, net.labels[v], i)
+            point = m.proj_point(net.labels[v], i)
             if point is None:
                 raise RuntimeError("distinguishing tuple with improper projection")
             if others in assign and assign[others] != point:
@@ -170,18 +150,6 @@ def is_coherent(p: PatchSystem, v_set, m: AgsModel) -> bool:
                for ix, a in enumerate(distinct) for b in distinct[ix + 1:])
 
 
-def coherent_via_atom_search(p: PatchSystem, v_set, m: AgsModel) -> bool:
-    """Cross-check: does an atom exist that is distinguishing at every
-    coordinate with projections matching the patches?"""
-    nodes = sorted(v_set)
-    n = m.n
-    points = [p.assign[frozenset(nodes) - {x}] for x in nodes]
-    for idx in range(m.algebra.natoms):
-        if all(projection_point(m, idx, i) == points[i] for i in range(n)):
-            return True
-    return False
-
-
 def patch_system_coherent(p: PatchSystem, m: AgsModel) -> bool:
     return all(is_coherent(p, combo, m)
                for combo in itertools.combinations(p.nodes, m.n))
@@ -196,7 +164,7 @@ def ultrafilter_for_tuple(p: PatchSystem, v: tuple[int, ...], m: AgsModel) -> in
     """
     n = m.n
     image = set(v)
-    sim = tuple_pattern(v)
+    sim = canonical_partition(v)
     if len(image) == n:
         points = tuple(p.assign[frozenset(image) - {v[i]}] for i in range(n))
         atom = Atom(points, sim)
@@ -302,80 +270,87 @@ def exists_responses(m: AgsModel, net: UfNetwork, move: GameMove):
     yield from _extension_networks(m, net, move)
 
 
+@functools.cache
+def _sigma_getters(n: int) -> tuple:
+    """One itemgetter per map, in all_sigmas order: getter(v) is v o sigma."""
+    return tuple(itemgetter(*sigma) for sigma in all_sigmas(n))
+
+
+@functools.cache
+def _link_tables(n: int, nodes: tuple[int, ...]):
+    """The fresh tuples (those holding the last node) of a network on
+    `nodes`, sorted, and per fresh tuple t: its diagonal pattern, its
+    cylindric neighbours (i, t with entry i replaced), its images
+    (rank, t o sigma), and the other fresh tuples u with u o sigma = t."""
+    fresh = tuple(sorted(t for t in itertools.product(nodes, repeat=n) if nodes[-1] in t))
+    images = {t: [(rank, get(t)) for rank, get in enumerate(_sigma_getters(n))]
+              for t in fresh}
+    return fresh, {t: (canonical_partition(t),
+                       [(i, t[:i] + (node,) + t[i + 1:])
+                        for i in range(n) for node in nodes if node != t[i]],
+                       images[t],
+                       [(u, rank) for u in fresh if u != t
+                        for rank, w in images[u] if w == t])
+                   for t in fresh}
+
+
 def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove):
+    """Every valid network on one fresh node that witnesses the move, by
+    backtracking over the fresh tuples (w0 first, then sorted) and over
+    candidates in ascending atom index, so responses come in a fixed order.
+
+    The link tables depend on the node tuple alone and are cached.  A
+    tuple's candidates are its pattern's atom mask (or the demanded atom at
+    w0) cut by the class mask of each labelled cylindric neighbour and by
+    the image of each labelled fresh tuple mapping onto it; only its own
+    images are then checked one candidate at a time.  Each result is
+    validated on its fresh tuples only.  That is the full check, since the
+    parent is valid: a tuple without the fresh node has no image with it,
+    and the cylindric relation is symmetric, so every violation shows up
+    among the conditions of some fresh tuple.
+    """
     n = m.n
     v, i, a = move.v, move.i, move.atom
-    z = max(net.nodes) + 1
-    nodes2 = net.nodes + (z,)
-    w0 = v[:i] + (z,) + v[i + 1:]
+    nodes2 = net.nodes + (max(net.nodes) + 1,)
+    w0 = v[:i] + (nodes2[-1],) + v[i + 1:]
     # the demand must be witnessed by an old tuple or by the fresh one
     need_w0 = not any(net.labels[w] == a for w in _witness_tuples(net, move))
-    if need_w0 and m.structure.atoms[a].sim != tuple_pattern(w0):
+    if need_w0 and m.structure.atoms[a].sim != canonical_partition(w0):
         return
-    sigmas = all_sigmas(n)
+    fresh, links = _link_tables(n, nodes2)
+    order = [w0] + [t for t in fresh if t != w0]
     rel = m.algebra.rel
-    by_pattern = atoms_by_pattern(m)
-
-    all_tuples = list(itertools.product(nodes2, repeat=n))
-    new_tuples = [t for t in all_tuples if z in t]
-    order = [w0] + sorted(t for t in new_tuples if t != w0)
-    out_links: dict[tuple, list] = {t: [] for t in new_tuples}
-    in_links: dict[tuple, list] = {t: [] for t in new_tuples}
-    for t in all_tuples:
-        for rank, sigma in enumerate(sigmas):
-            u = tuple(t[sigma[k]] for k in range(n))
-            if z in t:
-                out_links[t].append((rank, u))
-                if z in u and u != t:
-                    in_links[u].append((t, rank))
-
+    class_of, class_masks, tables = rel.cyl_class_of, rel.cyl_class_masks, rel.subst_tables
     assigned = dict(net.labels)
 
-    def candidates(t):
-        if t == w0 and need_w0:
-            pool = [a]
-        else:
-            pool = by_pattern.get(tuple_pattern(t), [])
-        for cand in pool:
-            ok = True
-            for i2 in range(n):
-                cls = rel.cyl_class_of[i2]
-                for node in nodes2:
-                    t2 = t[:i2] + (node,) + t[i2 + 1:]
-                    if t2 == t or t2 not in assigned:
-                        continue
-                    if cls[cand] != cls[assigned[t2]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                for rank, u in out_links[t]:
-                    target = cand if u == t else assigned.get(u)
-                    if target is not None and rel.subst_tables[rank][cand] != target:
-                        ok = False
-                        break
-            if ok:
-                for u, rank in in_links[t]:
-                    if u in assigned and rel.subst_tables[rank][assigned[u]] != cand:
-                        ok = False
-                        break
-            if ok:
-                yield cand
+    def pool(t, pattern, cyl, in_links):
+        mask = 1 << a if t == w0 and need_w0 else m.pattern_masks.get(pattern, 0)
+        for i2, t2 in cyl:
+            if t2 in assigned:
+                mask &= class_masks[i2][class_of[i2][assigned[t2]]]
+        for u, rank in in_links:
+            if u in assigned:
+                mask &= 1 << tables[rank][assigned[u]]
+        return mask
 
     def assign(pos):
         if pos == len(order):
             net2 = UfNetwork(n, nodes2, dict(assigned))
-            bad = validate_network(net2, m, "polyadic")
+            bad = validate_network(net2, m, "polyadic", tuples=fresh)
             if bad:
                 raise RuntimeError(f"search produced an invalid network: {bad[0]}")
             yield net2
             return
         t = order[pos]
-        for cand in candidates(t):
+        pattern, cyl, images, in_links = links[t]
+        for cand in iter_bits(pool(t, pattern, cyl, in_links)):
             assigned[t] = cand
-            yield from assign(pos + 1)
-            del assigned[t]
+            for rank, u in images:  # each labelled image, t itself included
+                if u in assigned and tables[rank][cand] != assigned[u]:
+                    break
+            else:
+                yield from assign(pos + 1)
+        assigned.pop(t, None)
 
     yield from assign(0)
 
@@ -397,7 +372,11 @@ def exists_survives(m: AgsModel, depth: int, strategy: str = "exhaustive",
     """Bounded verdict for the builder player.
 
     exhaustive: ground truth at the given depth by backtracking over all
-    challenger moves and all single-node responses.  paper: follow the
+    challenger moves and all single-node responses, in a fixed order, so the
+    verdict, trace and visit count are deterministic.  Responses come from
+    _extension_networks: link tables cached per node tuple, candidates
+    filtered by class masks, and each extension validated on its fresh
+    tuples, which is equivalent to the full check.  paper: follow the
     two-step ultrafilter/patch construction; on finite models its second
     step eventually demands an ultrafilter of the set sort free of
     independent sets, which no principal ultrafilter is, and that failure
@@ -472,7 +451,7 @@ def paper_response(m: AgsModel, net: UfNetwork, move: GameMove,
         others = frozenset(w0[k] for k in range(n) if k != j)
         if len(others) != n - 1:
             continue
-        point = projection_point(m, a, j)
+        point = m.proj_point(a, j)
         assert point is not None
         if others in assign:
             assert assign[others] == point, "patch disagrees with the old boundary"
@@ -547,11 +526,13 @@ def network_to_json(net: UfNetwork) -> dict:
     }
 
 
-def network_from_json(data: dict, n: int) -> UfNetwork:
+def network_from_json(data: dict, n: int, natoms: int) -> UfNetwork:
     labels = {}
     for key, value in data["labels"].items():
         t = tuple(int(part) for part in key.split(","))
         if len(t) != n:
             raise ValueError(f"label key {key!r} has wrong arity")
-        labels[t] = int(value)
+        if type(value) is not int or not 0 <= value < natoms:
+            raise ValueError(f"label {value!r} at {key!r} is no atom index below {natoms}")
+        labels[t] = value
     return UfNetwork(n, tuple(data["nodes"]), labels)

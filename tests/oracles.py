@@ -112,6 +112,69 @@ def naive_game_responses(m, net, move):
     return out
 
 
+def pruned_game_responses(m, net, move):
+    """Same response set as naive_game_responses, by backtracking over the
+    sorted fresh tuples: a label is dropped as soon as it breaks a
+    cylindric or substitution condition with an already labelled tuple, and
+    each complete labelling is filtered by full validation.  Feasible where
+    the unpruned product is not (a 2-node K1 network has ~1e14 labellings)."""
+    v, i, a = move
+    n = m.n
+    out = []
+    witnesses = [v[:i] + (node,) + v[i + 1:] for node in net.nodes]
+    if any(net.labels[w] == a for w in witnesses):
+        out.append(net)
+    z = max(net.nodes) + 1
+    nodes2 = net.nodes + (z,)
+    w0 = v[:i] + (z,) + v[i + 1:]
+    everything = list(itertools.product(nodes2, repeat=n))
+    new_tuples = sorted(t for t in everything if z in t)
+    rel = m.algebra.rel
+    ident = range(m.algebra.natoms)
+    # ties[t]: (u, f, g) for each condition f[label t] == g[label u],
+    # found by comparing every pair of tuples directly
+    ties = {t: [] for t in new_tuples}
+    for t in new_tuples:
+        for u in everything:
+            for k in range(n):
+                if u != t and u[:k] + u[k + 1:] == t[:k] + t[k + 1:]:
+                    ties[t].append((u, rel.cyl_class_of[k], rel.cyl_class_of[k]))
+            for sigma, table in zip(all_sigmas(n), rel.subst_tables):
+                if tuple(t[s] for s in sigma) == u != t:
+                    ties[t].append((u, table, ident))
+                if tuple(u[s] for s in sigma) == t != u:
+                    ties[t].append((u, ident, table))
+    labels = dict(net.labels)
+
+    def extend(pos):
+        if pos == len(new_tuples):
+            witnessed = labels[w0] == a or any(net.labels[w] == a for w in witnesses)
+            candidate = UfNetwork(n, nodes2, dict(labels))
+            if witnessed and not validate_network(candidate, m, "polyadic"):
+                out.append(candidate)
+            return
+        t = new_tuples[pos]
+        pattern = _canon(t)
+        for lab, atom in enumerate(m.structure.atoms):
+            if atom.sim == pattern and all(f[lab] == g[labels[u]]
+                                           for u, f, g in ties[t] if u in labels):
+                labels[t] = lab
+                extend(pos + 1)
+                del labels[t]
+
+    extend(0)
+    return out
+
+
+def coherent_via_atom_search(p, v_set, m) -> bool:
+    """Cross-check: does an atom exist that is distinguishing at every
+    coordinate with projections matching the patches?"""
+    nodes = sorted(v_set)
+    points = [p.assign[frozenset(nodes) - {x}] for x in nodes]
+    return any(all(m.proj_point(idx, i) == points[i] for i in range(m.n))
+               for idx in range(m.algebra.natoms))
+
+
 def naive_survives(m, net, depth: int) -> bool:
     if depth == 0:
         return True

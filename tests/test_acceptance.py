@@ -20,7 +20,7 @@ from graphbao.graph import (Graph, VertexMap, brute_force_chromatic,
                             coverable_by_independent_sets, cycle_graph, girth,
                             inflate, mycielskian, path_graph,
                             search_high_girth_chromatic)
-from oracles import naive_atom_set, naive_survives
+from oracles import coherent_via_atom_search, naive_atom_set, naive_survives
 
 RESULTS = []
 
@@ -146,7 +146,7 @@ def test_criterion_08_coherence_characterization(k1_model):
         patch = networks.PatchSystem(
             nodes, {frozenset(s): p for s, p in zip(subsets, points)})
         direct = networks.is_coherent(patch, nodes, k1_model)
-        via_atoms = networks.coherent_via_atom_search(patch, nodes, k1_model)
+        via_atoms = coherent_via_atom_search(patch, nodes, k1_model)
         ok = ok and direct == via_atoms
     check(8, "coherence iff a distinguishing atom exists (27 cases)", ok)
 

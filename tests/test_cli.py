@@ -203,6 +203,17 @@ class TestNetAndGameVerbs:
                              "--graph", "K1")
         assert code == 1
 
+    def test_net_validate_rejects_labels_out_of_range(self, capsys, tmp_path):
+        for label in (999, -1):
+            net_file = tmp_path / "net.json"
+            net_file.write_text(json.dumps(
+                {"n": 3, "nodes": [0], "labels": {"0,0,0": label}}))
+            code, out, err = run_cli(capsys, "net", "validate", "--graph", "K1",
+                                     str(net_file))
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and str(label) in err
+            assert err.count("\n") == 1
+
 
 class TestDualVerbs:
     def test_lift(self, capsys):
@@ -259,6 +270,16 @@ class TestPositionalGraphForm:
             cfg.write_text(json.dumps({"depth": bad}))
             code, _, err = run_cli(capsys, "game", "run", "K1", "--config", str(cfg))
             assert code == 2 and err.startswith("error:") and "depth" in err
+
+    def test_non_integer_config_fields_are_usage_errors(self, capsys, tmp_path):
+        for key, bad in (("n", "3"), ("atom_bound", 2.5), ("sample_count", None),
+                         ("seed", True), ("n", [3])):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: bad}))
+            code, out, err = run_cli(capsys, "ags", "theta", "K1", "--k", "1",
+                                     "--config", str(cfg))
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and key in err and err.count("\n") == 1
 
     def test_missing_graph_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "atoms", "enumerate")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -7,13 +8,13 @@ from graphbao.atoms import Atom
 from graphbao.errors import IncoherentPatchError
 from graphbao.graph import cycle_graph
 from graphbao.networks import (GameMove, PatchSystem, UfNetwork, boundary,
-                               coherent_via_atom_search, exists_responses,
-                               exists_survives, forall_moves, initial_network,
-                               is_coherent, network_from_json, network_from_patch,
-                               network_to_json, paper_response,
+                               exists_responses, exists_survives, forall_moves,
+                               initial_network, is_coherent, network_from_json,
+                               network_from_patch, network_to_json, paper_response,
                                patch_system_coherent, sample_play,
                                ultrafilter_for_tuple, validate_network)
-from oracles import naive_game_moves, naive_game_responses, naive_survives
+from oracles import (coherent_via_atom_search, naive_game_moves,
+                     naive_game_responses, naive_survives, pruned_game_responses)
 
 
 class TestValidate:
@@ -30,6 +31,25 @@ class TestValidate:
         net = UfNetwork(3, (0,), {(0, 0, 0): pair})
         kinds = {v["kind"] for v in validate_network(net, k1_model, "cylindric")}
         assert "diagonal" in kinds
+
+    def test_fresh_tuples_check_matches_full_check(self, k1_model):
+        collected = []
+        exists_survives(k1_model, 2, collect=collected)
+        extensions = [net for net in collected if len(net.nodes) == 3][:10]
+        assert extensions
+        natoms = k1_model.algebra.natoms
+        for net in extensions:
+            fresh = sorted(t for t in net.labels if 2 in t)
+            assert validate_network(net, k1_model, "polyadic", tuples=fresh) == \
+                validate_network(net, k1_model, "polyadic") == []
+            for t in fresh:
+                labels = dict(net.labels)
+                labels[t] = (labels[t] + 1) % natoms
+                bad = UfNetwork(3, net.nodes, labels)
+                partial = validate_network(bad, k1_model, "polyadic", tuples=fresh)
+                full = validate_network(bad, k1_model, "polyadic")
+                assert any(v["tuple"] == t for v in partial)
+                assert partial == [v for v in full if v["tuple"] in fresh]
 
     def test_engine_networks_replay_valid(self, k1_model):
         collected = []
@@ -57,7 +77,7 @@ class TestBoundary:
                     others = [v[k] for k in range(3) if k != i]
                     if len(set(others)) != 2:
                         continue
-                    point = networks.projection_point(k1_model, net.labels[v], i)
+                    point = k1_model.proj_point(net.labels[v], i)
                     if point is not None:
                         assert patch.assign[frozenset(others)] == point
 
@@ -201,12 +221,49 @@ class TestExistsSurvives:
 
     def test_response_sets_match_naive_oracle(self, k1_model):
         net = initial_network(k1_model)
-        for move in forall_moves(k1_model, net)[:6]:
+        for move in forall_moves(k1_model, net):
+            triple = (move.v, move.i, move.atom)
             engine = {n.key() for n in exists_responses(k1_model, net, move)}
-            oracle = {n.key() for n in
-                      naive_game_responses(k1_model, net,
-                                           (move.v, move.i, move.atom))}
+            oracle = {n.key() for n in naive_game_responses(k1_model, net, triple)}
             assert engine == oracle
+            assert oracle == {n.key() for n in
+                              pruned_game_responses(k1_model, net, triple)}
+
+    def test_response_sets_from_two_nodes_match_pruned_oracle(self, k1_model):
+        net = initial_network(k1_model)
+        net = next(resp for move in forall_moves(k1_model, net)
+                   for resp in exists_responses(k1_model, net, move)
+                   if len(resp.nodes) == 2)
+        moves = forall_moves(k1_model, net)
+        assert len(moves) == 168
+        for move in moves:
+            engine = [n.key() for n in exists_responses(k1_model, net, move)]
+            oracle = pruned_game_responses(k1_model, net,
+                                           (move.v, move.i, move.atom))
+            assert len(engine) == len(set(engine))
+            assert set(engine) == {n.key() for n in oracle}
+
+    @staticmethod
+    def digest(networks_in_order):
+        """Pins the responses and the order they were found in."""
+        keys = repr([net.key() for net in networks_in_order])
+        return hashlib.sha256(keys.encode()).hexdigest()[:16]
+
+    def test_pinned_k1_depth_two(self, k1_model):
+        collected = []
+        verdict = exists_survives(k1_model, 2, collect=collected)
+        assert (verdict.status, verdict.visited, verdict.trace) == ("survives", 5, None)
+        assert len(collected) == 379
+        assert self.digest(collected) == "ac848c76f3de385e"
+
+    def test_pinned_k2_depth_two_networks_all_valid(self, k2_model):
+        collected = []
+        verdict = exists_survives(k2_model, 2, collect=collected)
+        assert (verdict.status, verdict.visited, verdict.trace) == ("survives", 8, None)
+        assert len(collected) == 2917
+        assert self.digest(collected) == "340ffe388ff1fb8a"
+        for net in collected:
+            assert validate_network(net, k2_model, "polyadic") == []
 
     def test_depth_two_survives_and_monotone(self, k1_model):
         v2 = exists_survives(k1_model, 2)
@@ -288,7 +345,7 @@ class TestTraceAndJson:
         exists_survives(k1_model, 1, collect=collected)
         net = max(collected, key=lambda nn: len(nn.nodes))
         data = network_to_json(net)
-        back = network_from_json(data, 3)
+        back = network_from_json(data, 3, k1_model.algebra.natoms)
         assert back.labels == net.labels and back.nodes == net.nodes
 
     def test_sample_play(self, k1_model):
