@@ -2,7 +2,8 @@
 
 Subcommands mirror the module layout: graph, atoms, bao, ags, net, game,
 dual, suite.  Exit code 0 means every requested check passed, 1 means a
-counterexample or failed certificate, 2 means usage or resource trouble.
+counterexample or failed certificate, 2 means usage or resource trouble, and
+141 (128 + SIGPIPE, as a shell reports) means stdout was closed early.
 Reports embed the effective configuration so any counterexample can be
 replayed from the report alone; timing fields are excluded from the
 determinism contract.
@@ -14,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import __version__
 from . import ags as ags_mod
@@ -29,6 +29,7 @@ from .graph import (Graph, chromatic_number, complete_graph, cycle_graph,
 from .report import Report
 
 CONFIG_ENV = "GRAPHBAO_CONFIG"
+EXIT_BROKEN_PIPE = 141
 
 DEFAULTS = {
     "n": 3,
@@ -133,16 +134,11 @@ def emit_payload(payload: dict, config: dict) -> None:
             print(f"{key}: {value}")
 
 
-def _timed(report: Report, name: str, passed: bool, detail=None, started=None):
-    item = report.add(name, passed, detail)
-    if started is not None:
-        item.seconds = time.perf_counter() - started
-    return item
-
-
 # subcommand handlers ---------------------------------------------------------
 
 def cmd_graph(args, config) -> int:
+    if args.graph_cmd == "search":
+        return cmd_graph_search(args, config)
     g = load_graph(graph_arg(args))
     if args.graph_cmd == "chi":
         chi, witness = chromatic_number(g)
@@ -332,15 +328,14 @@ def cmd_suite(args, config) -> int:
     """Composite of the module suites on one graph."""
     g = load_graph(graph_arg(args))
     report = Report("suite-all")
-    started = time.perf_counter()
 
     chi, witness = chromatic_number(g)
     from .graph import brute_force_chromatic, is_proper_coloring
     ok = is_proper_coloring(g, witness, chi)
     if g.vertex_count <= 7:
         ok = ok and brute_force_chromatic(g)[0] == chi
-    _timed(report, "graph: exact coloring agrees with the oracle", ok,
-           {"chi": chi}, started)
+    report.add("graph: exact coloring agrees with the oracle", ok, {"chi": chi},
+               seconds=report.lap())
 
     model = ags_mod.build_model(g, config["n"], atom_bound=config["atom_bound"])
     report.add("atoms: enumeration within bound", True,
@@ -476,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 HANDLERS = {
+    "graph": cmd_graph,
     "atoms": cmd_atoms,
     "bao": cmd_bao,
     "ags": cmd_ags,
@@ -491,11 +487,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args)
-        if args.command == "graph":
-            if args.graph_cmd == "search":
-                return cmd_graph_search(args, config)
-            return cmd_graph(args, config)
-        return HANDLERS[args.command](args, config)
+        code = HANDLERS[args.command](args, config)
+        sys.stdout.flush()  # a closed pipe then shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (say `| head`): drop what is left
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (SizeLimitError, InfeasibleError, FileNotFoundError, ValueError,
             KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .atoms import all_sigmas, compose_sigma
 from .bao import FiniteBao
-from .errors import InfeasibleError
+from .errors import InfeasibleError, SizeLimitError
 
 VARIABLE_NAMES = {"x": 0, "y": 1, "z": 2}
 
@@ -311,7 +311,7 @@ def pick_subalgebra(algebra: FiniteBao, rng: random.Random, max_vars: int = 2,
         gens = [1 << rng.randrange(algebra.natoms) for _ in range(count)]
         try:
             sub = algebra.generated_subalgebra(gens, bound=cap)
-        except Exception:
+        except SizeLimitError:
             continue
         if len(sub) ** max_vars <= 10 ** 5:
             return sub

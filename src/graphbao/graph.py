@@ -485,11 +485,16 @@ def graph_to_json(g: Graph) -> dict:
 def graph_from_json(data: dict) -> Graph:
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValueError("graph JSON needs 'vertices' and 'edges' fields")
-    edges = [tuple(e) for e in data["edges"]]
-    for e in edges:
-        if len(e) != 2:
-            raise ValueError(f"malformed edge {e}")
-    return Graph.from_edges(int(data["vertices"]), edges)
+    vertices, edges = data["vertices"], data["edges"]
+    if type(vertices) is not int or vertices < 0:  # a bool is no vertex count
+        raise ValueError(f"vertex count {vertices!r} is no non-negative integer")
+    try:
+        pairs = [(u, v) for u, v in edges if type(u) is int and type(v) is int]
+    except (TypeError, ValueError):  # not a list, or an edge of other length
+        pairs = None
+    if pairs is None or len(pairs) != len(edges):
+        raise ValueError("graph JSON 'edges' must be a list of integer vertex pairs")
+    return Graph.from_edges(vertices, pairs)
 
 
 def graph_to_dot(g: Graph, name: str = "g") -> str:

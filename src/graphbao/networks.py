@@ -527,6 +527,10 @@ def network_to_json(net: UfNetwork) -> dict:
 
 
 def network_from_json(data: dict, n: int, natoms: int) -> UfNetwork:
+    if (not isinstance(data, dict) or not isinstance(data.get("labels"), dict)
+            or not isinstance(data.get("nodes"), list)
+            or any(type(v) is not int for v in data["nodes"])):
+        raise ValueError("network JSON needs a 'nodes' list of integers and a 'labels' object")
     labels = {}
     for key, value in data["labels"].items():
         t = tuple(int(part) for part in key.split(","))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 
@@ -27,6 +28,7 @@ class Report:
     title: str
     config: dict = field(default_factory=dict)
     items: list[CheckItem] = field(default_factory=list)
+    mark: float = field(default_factory=time.perf_counter, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -37,6 +39,12 @@ class Report:
         item = CheckItem(name, "pass" if passed else "fail", detail, seconds)
         self.items.append(item)
         return item
+
+    def lap(self) -> float:
+        """Seconds since the report was made or since the previous lap."""
+        now = time.perf_counter()
+        elapsed, self.mark = now - self.mark, now
+        return elapsed
 
     def extend(self, other: "Report") -> None:
         self.items.extend(other.items)

@@ -22,6 +22,11 @@ def k2_model():
 
 
 @pytest.fixture(scope="session")
+def p3_model():
+    return ags.build_model(path_graph(3), 3)
+
+
+@pytest.fixture(scope="session")
 def p3_algebra():
     return complex_algebra(enumerate_atoms(path_graph(3), 3))
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import replace
 
 from graphbao.atoms import all_sigmas, subst_atom
-from graphbao.bao import RelStructure
+from graphbao.bao import FiniteBao, RelStructure
 from graphbao.bitset import iter_bits
 from graphbao.graph import Graph, inflate
 from graphbao.networks import UfNetwork, validate_network
@@ -228,3 +229,42 @@ def corrupt_cyl_table(rel: RelStructure, i: int = 0, atom: int = 0) -> RelStruct
     class_masks = list(rel.cyl_class_masks)
     class_masks[i] = tuple(masks)
     return replace(rel, cyl_class_masks=tuple(class_masks))
+
+
+def proj_per_bit(m, i: int, a: int) -> int:
+    """proj_i one i-distinguishing atom of a at a time, read off atom_value."""
+    out = 0
+    values = m.atom_value[i]
+    for atom in iter_bits(a & m.algebra.dist_element(i)):
+        out |= 1 << values[atom]
+    return out
+
+
+def cyl_relatedness_pairwise(m) -> bool:
+    """Every pair of atoms at every coordinate: same R_i class iff the two
+    agree on every d_jk with j, k != i and have equal i-projections."""
+    A = m.algebra
+    n = m.n
+    for i in range(n):
+        class_of = A.rel.cyl_class_of[i]
+        for a in range(A.natoms):
+            for b in range(A.natoms):
+                same_class = class_of[a] == class_of[b]
+                diag_agree = all((A.d(j, k) >> a & 1) == (A.d(j, k) >> b & 1)
+                                 for j in range(n) for k in range(n)
+                                 if j != i and k != i)
+                proj_agree = m.proj_point(a, i) == m.proj_point(b, i)
+                if same_class != (diag_agree and proj_agree):
+                    return False
+    return True
+
+
+def with_cyl_classes(m, i: int, class_of):
+    """Copy of an AgsModel whose algebra has class_of as its R_i class ids."""
+    rel = m.algebra.rel
+    classes = list(rel.cyl_class_of)
+    classes[i] = tuple(class_of)
+    broken = copy.copy(m)
+    broken.algebra = FiniteBao(replace(rel, cyl_class_of=tuple(classes)),
+                               m.algebra.signature, m.algebra.atom_structure)
+    return broken

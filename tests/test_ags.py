@@ -5,11 +5,19 @@ import pytest
 from graphbao import ags
 from graphbao.bitset import iter_bits
 from graphbao.graph import Graph, chromatic_number, cycle_graph, path_graph
+from oracles import cyl_relatedness_pairwise, proj_per_bit, with_cyl_classes
+
+RELATEDNESS = "cylindric relatedness is diagonal agreement plus equal projection"
 
 
 def random_graph(nv, p, rng):
     edges = [(i, j) for i in range(nv) for j in range(i + 1, nv) if rng.random() < p]
     return Graph.from_edges(nv, edges)
+
+
+def failing_items(m) -> set[str]:
+    report = ags.check_projection_properties(m)
+    return {item.name for item in report.items if item.status != "pass"}
 
 
 class TestBuildModel:
@@ -75,6 +83,19 @@ class TestProjLift:
         report = ags.check_rs_properties(m, seed=1, samples=50)
         failing = {item.name for item in report.items if item.status != "pass"}
         assert "projection undoes lift" in failing or "lift of projection covers" in failing
+        # proj reads the same lift table; the exhaustive item ties it to atom_value
+        assert "projection of a principal ultrafilter" in failing_items(m)
+
+    @pytest.mark.parametrize("name", ["k1_model", "k2_model", "p3_model"])
+    def test_proj_matches_per_bit_oracle(self, name, request):
+        m = request.getfixturevalue(name)
+        A = m.algebra
+        rng = random.Random(3)
+        elements = [0, A.top] + [1 << a for a in range(A.natoms)]
+        elements += [rng.getrandbits(A.natoms) for _ in range(200)]
+        for i in range(m.n):
+            for x in elements:
+                assert m.proj(i, x) == proj_per_bit(m, i, x), (i, hex(x))
 
 
 class TestProjectionSuite:
@@ -83,6 +104,45 @@ class TestProjectionSuite:
 
     def test_k2_exhaustive(self, k2_model):
         assert ags.check_projection_properties(k2_model).ok
+
+    @pytest.mark.parametrize("name", ["k1_model", "k2_model"])
+    def test_relatedness_matches_pairwise_oracle(self, name, request):
+        m = request.getfixturevalue(name)
+        assert RELATEDNESS not in failing_items(m)
+        assert cyl_relatedness_pairwise(m)
+
+    @pytest.mark.parametrize("name", ["k1_model", "k2_model"])
+    def test_atom_moved_to_another_class_fails(self, name, request):
+        m = request.getfixturevalue(name)
+        for i in range(m.n):
+            class_of = list(m.algebra.rel.cyl_class_of[i])
+            # move the last atom outside the class of atom 0 into it
+            a = next(a for a in reversed(range(len(class_of)))
+                     if class_of[a] != class_of[0])
+            class_of[a] = class_of[0]
+            broken = with_cyl_classes(m, i, class_of)
+            assert failing_items(broken) == {RELATEDNESS}
+            assert not cyl_relatedness_pairwise(broken)
+
+    @pytest.mark.parametrize("name", ["k1_model", "k2_model"])
+    def test_atom_split_into_fresh_class_fails(self, name, request):
+        m = request.getfixturevalue(name)
+        for i in range(m.n):
+            class_of = list(m.algebra.rel.cyl_class_of[i])
+            # an atom sharing its class leaves that class for a new one
+            a = next(a for a in range(len(class_of)) if class_of.count(class_of[a]) > 1)
+            class_of[a] = max(class_of) + 1
+            broken = with_cyl_classes(m, i, class_of)
+            assert failing_items(broken) == {RELATEDNESS}
+            assert not cyl_relatedness_pairwise(broken)
+
+    def test_relabelled_classes_pass(self, k2_model):
+        # the item compares partitions, not class ids
+        m = k2_model
+        class_of = [-cid for cid in m.algebra.rel.cyl_class_of[1]]
+        broken = with_cyl_classes(m, 1, class_of)
+        assert not failing_items(broken)
+        assert cyl_relatedness_pairwise(broken)
 
     def test_related_atoms_agree_on_foreign_diagonals(self, k1_model):
         # forward direction restated at atom level
@@ -175,11 +235,14 @@ class TestRunSuite:
         assert first == second
 
     def test_c5_suite_count_gated(self):
-        # C5 fits the atom bound; the projection suite is quadratic in atoms
-        # and stays with the two small models, per its stated regime
         m = ags.build_model(cycle_graph(5), 3)
         assert ags.check_rs_properties(m, seed=1, samples=25).ok
+        assert ags.check_projection_properties(m).ok
         assert ags.check_substitution_properties(m, seed=1, samples=20).ok
+
+    def test_every_item_is_timed(self, k1_model):
+        report = ags.run_suite(k1_model, "all")
+        assert report.items and all(item.seconds > 0 for item in report.items)
 
     def test_p3_suite(self):
         m = ags.build_model(path_graph(3), 3)

@@ -214,6 +214,18 @@ class TestNetAndGameVerbs:
             assert err.startswith("error:") and str(label) in err
             assert err.count("\n") == 1
 
+    def test_net_validate_rejects_malformed_documents(self, capsys, tmp_path):
+        for document in ({"n": 3, "nodes": 5, "labels": {"0,0,0": 0}},
+                         [{"0,0,0": 0}],
+                         {"n": 3, "nodes": [0], "labels": [0]},
+                         {"n": 3, "nodes": [0.5], "labels": {"0,0,0": 0}}):
+            net_file = tmp_path / "net.json"
+            net_file.write_text(json.dumps(document))
+            code, out, err = run_cli(capsys, "net", "validate", "--graph", "K1",
+                                     str(net_file))
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestDualVerbs:
     def test_lift(self, capsys):
@@ -334,3 +346,31 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["graph", "chi", "--graph", "K1", "--bogus-flag"])
         assert exc.value.code == 2
+
+    def test_non_integer_graph_json_is_usage_error(self, capsys, tmp_path):
+        for document in ({"vertices": 2, "edges": [[0, 1.5]]},
+                         {"vertices": 2.7, "edges": [[0, 1]]},
+                         {"vertices": True, "edges": []},
+                         {"vertices": 2, "edges": [[0, "1"]]},
+                         {"vertices": 2, "edges": 5}):
+            graph_file = tmp_path / "g.json"
+            graph_file.write_text(json.dumps(document))
+            code, out, err = run_cli(capsys, "graph", "chi", str(graph_file))
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_closed_stdout_ends_without_traceback(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # nobody will read: the first write fails
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphbao", "ags", "suite", "all", "K1",
+             "--output", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE
