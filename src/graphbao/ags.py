@@ -60,12 +60,17 @@ class AgsModel:
             masks[atom.sim] = masks.get(atom.sim, 0) | 1 << idx
         return masks
 
+    @cached_property
+    def proj_points(self) -> tuple[tuple[int | None, ...], ...]:
+        """[i][atom] -> proj_point(atom, i)."""
+        return tuple(
+            tuple(v if dist >> a & 1 else None for a, v in enumerate(self.atom_value[i]))
+            for i, dist in enumerate(map(self.algebra.dist_element, range(self.n))))
+
     def proj_point(self, atom: int, i: int) -> int | None:
         """Vertex generating the i-projection of the principal ultrafilter
         at the atom, or None for the improper filter."""
-        if self.algebra.dist_element(i) >> atom & 1:
-            return self.atom_value[i][atom]
-        return None
+        return self.proj_points[i][atom]
 
     def proj(self, i: int, a: int) -> int:
         """Vertex set of the values taken at coordinate i by the
@@ -250,7 +255,7 @@ def check_projection_properties(m: AgsModel, seed: int = 1) -> Report:
     report = Report("projections", {"seed": seed})
     n = m.n
 
-    proj_point = m.proj_point
+    points = m.proj_points
 
     samples = _vertex_set_samples(m)
     lifts = [[m.lift(i, B) for B in samples] for i in range(n)]
@@ -258,16 +263,16 @@ def check_projection_properties(m: AgsModel, seed: int = 1) -> Report:
     for a in range(A.natoms):
         for i in range(n):
             image = m.proj(i, 1 << a)
-            if proj_point(a, i) is None:
+            if points[i][a] is None:
                 # improper case: every vertex set is some projection above a
                 if image != 0 or any(m.proj(i, (1 << a) | lifted) != B
                                      for B, lifted in zip(samples, lifts[i])):
                     ok = False
-            elif image != 1 << proj_point(a, i):
+            elif image != 1 << points[i][a]:
                 ok = False
     report.add("projection of a principal ultrafilter", ok, seconds=report.lap())
 
-    ok = all(proj_point(a, i) == proj_point(a, j)
+    ok = all(points[i][a] == points[j][a]
              for a in range(A.natoms) for i in range(n) for j in range(n)
              if A.d(i, j) >> a & 1)
     report.add("diagonal membership merges projections", ok, seconds=report.lap())
@@ -287,8 +292,8 @@ def check_projection_properties(m: AgsModel, seed: int = 1) -> Report:
     ok = True
     for i in range(n):
         foreign = [A.d(j, k) for j in range(n) for k in range(n) if i not in (j, k)]
-        keys = [(tuple(d >> a & 1 for d in foreign), proj_point(a, i))
-                for a in range(A.natoms)]
+        keys = [(tuple(d >> a & 1 for d in foreign), point)
+                for a, point in enumerate(points[i])]
         class_of = A.rel.cyl_class_of[i]
         if not len(set(zip(class_of, keys))) == len(set(class_of)) == len(set(keys)):
             ok = False
@@ -303,11 +308,9 @@ def check_projection_properties(m: AgsModel, seed: int = 1) -> Report:
             missing = [j for j in range(n) if j not in hit[i]]
             if len(missing) != 1:
                 continue
-            j = missing[0]
-            for a in range(A.natoms):
-                # ultrafilter substitution takes the generator along the table
-                if proj_point(table[a], i) != proj_point(a, j):
-                    ok = False
+            # ultrafilter substitution takes the generator along the table
+            if tuple(map(points[i].__getitem__, table)) != points[missing[0]]:
+                ok = False
     report.add("substitution permutes projections", ok, seconds=report.lap())
     return report
 

@@ -14,17 +14,23 @@ s_sigma(x) gathers the bits of x through sigma's atom table in one C-level
 call.  Only the tables of subst_generators(n) are built atom by atom; every
 other map is composed along table[sigma o tau][a] = table[tau][table[sigma][a]],
 the Scomp identity of Henkin-Monk-Tarski, Cylindric Algebras I.
+
+The ultrafilter structure reads the operators back through the public
+kernels: c_i on every singleton, and each substitution table through s_sigma
+on the ceil(log2 natoms) bit-slice elements (bitset.read_map), so the
+canonical-extension check tests the kernels against the stored relations.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 
 from .atoms import (AtomStructure, all_sigmas, compose_sigma, restrict_partition,
                     sigma_rank, subst_atom)
-from .bitset import iter_bits
+from .bitset import gather, read_map
 from .errors import SizeLimitError
 
 SIGNATURES = {
@@ -147,12 +153,7 @@ class FiniteBao:
         """Substitution: preimage of x under the atom action."""
         if "s" not in self.ops:
             raise ValueError(f"substitutions not in signature {self.signature}")
-        table = self.rel.subst_for(sigma)
-        if self.natoms < 2:
-            # every map fixes a lone atom; itemgetter of one index is no tuple
-            return x
-        bits = format(x, f"0{self.natoms}b")[::-1]  # bits[b] is bit b of x
-        return int("".join(itemgetter(*table)(bits))[::-1], 2)
+        return gather(self.rel.subst_for(sigma), x, self.natoms)
 
     # derived elements ------------------------------------------------------
     def dist_element(self, i: int) -> int:
@@ -215,8 +216,14 @@ class FiniteBao:
         One ultrafilter per atom; a relation holds of a tuple of
         ultrafilters when the operator image of the generators lands inside
         the result ultrafilter.  For unary operators that reduces to reading
-        the operator off singleton elements, which is done here in one batch
-        pass per operator.
+        the operator off singleton elements: R_i is read from c_i on every
+        singleton, and each substitution table from the public s_sigma on
+        the bit-slice elements (bitset.read_map), never from the stored
+        tables.  A signature without substitutions has no substitution
+        relation to recover, so its tables are carried over as they are.
+
+        Raises RuntimeError when c_i does not induce a reflexive partition,
+        or s_sigma is not the preimage operator of a map on atoms.
         """
         nat = self.natoms
         diag = tuple(tuple(self.rel.diag_masks[i][j] for j in range(self.n))
@@ -232,30 +239,18 @@ class FiniteBao:
                     masks.append(mask)
                 per_atom.append(cid)
             if sum(m.bit_count() for m in masks) != nat:
-                raise ValueError("cylindrification does not induce a partition")
+                raise RuntimeError("cylindrification does not induce a partition")
             for a in range(nat):
                 if not masks[per_atom[a]] >> a & 1:
-                    raise ValueError("cylindrification is not reflexive")
+                    raise RuntimeError("cylindrification is not reflexive")
             class_of.append(tuple(per_atom))
             class_masks.append(tuple(masks))
-        subst = []
-        for sigma in all_sigmas(self.n):
-            table = self.rel.subst_for(sigma)
-            preimage = [0] * nat
-            for a in range(nat):
-                # batch evaluation of s_sigma on every singleton at once
-                preimage[table[a]] |= 1 << a
-            images = [-1] * nat
-            for x in range(nat):
-                for y in iter_bits(preimage[x]):
-                    if images[y] >= 0:
-                        raise ValueError("substitution preimages overlap")
-                    images[y] = x
-            if any(v < 0 for v in images):
-                raise ValueError("substitution preimages do not cover")
-            subst.append(tuple(images))
-        return RelStructure(self.n, nat, diag, tuple(class_of), tuple(class_masks),
-                            tuple(subst))
+        if "s" in self.ops:
+            subst = tuple(read_map(partial(self.s, sigma), nat, nat)
+                          for sigma in all_sigmas(self.n))
+        else:
+            subst = self.rel.subst_tables
+        return RelStructure(self.n, nat, diag, tuple(class_of), tuple(class_masks), subst)
 
     def canonical_extension(self) -> tuple["FiniteBao", list[int]]:
         """Complex algebra of the ultrafilter structure, plus the witness map.

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .atoms import (Atom, AtomStructure, all_sigmas, atom_is_valid, enumerate_atoms,
                     DEFAULT_ATOM_BOUND)
 from .bao import FiniteBao, complex_algebra
-from .bitset import iter_bits
+from .bitset import gather, iter_bits, read_map
 from .graph import (Graph, VertexMap, chromatic_number, compose_maps, graph_from_json,
                     is_p_morphism, is_surjective)
 from .report import Report
@@ -136,21 +137,23 @@ class AlgebraEmbedding:
 
     domain: FiniteBao      # complex algebra of the p-morphism's target
     codomain: FiniteBao    # complex algebra of the p-morphism's source
-    preimage_masks: tuple[int, ...]
+    mapping: tuple[int, ...]  # [codomain atom] -> domain atom
 
     def __call__(self, element: int) -> int:
-        out = 0
-        for atom in iter_bits(element):
-            out |= self.preimage_masks[atom]
-        return out
+        return gather(self.mapping, element, self.domain.natoms)
+
+    @cached_property
+    def preimage_masks(self) -> tuple[int, ...]:
+        """[domain atom] -> codomain atoms mapped onto it."""
+        masks = [0] * self.domain.natoms
+        for a, image in enumerate(self.mapping):
+            masks[image] |= 1 << a
+        return tuple(masks)
 
 
 def dual_embedding(g: AtomPMorphism) -> AlgebraEmbedding:
-    masks = [0] * len(g.target)
-    for a, image in enumerate(g.mapping):
-        masks[image] |= 1 << a
     return AlgebraEmbedding(complex_algebra(g.target), complex_algebra(g.source),
-                            tuple(masks))
+                            g.mapping)
 
 
 def validate_embedding(emb: AlgebraEmbedding, seed: int = 1, samples: int = 1000) -> Report:
@@ -181,13 +184,14 @@ def validate_embedding(emb: AlgebraEmbedding, seed: int = 1, samples: int = 1000
     for _ in range(samples):
         x = dom.sample_element(rng, pool)
         y = dom.sample_element(rng, pool)
-        if emb(x | y) != emb(x) | emb(y) or emb(dom.neg(x)) != cod.neg(emb(x)):
+        ex = emb(x)
+        if emb(x | y) != ex | emb(y) or emb(dom.neg(x)) != cod.neg(ex):
             ok_bool = False
         for i in range(dom.n):
-            if emb(dom.c(i, x)) != cod.c(i, emb(x)):
+            if emb(dom.c(i, x)) != cod.c(i, ex):
                 ok_cyl = False
         sigma = sigmas[rng.randrange(len(sigmas))]
-        if emb(dom.s(sigma, x)) != cod.s(sigma, emb(x)):
+        if emb(dom.s(sigma, x)) != cod.s(sigma, ex):
             ok_sub = False
     report.add("boolean operations preserved (sampled)", ok_bool)
     report.add("cylindrifications preserved (sampled)", ok_cyl)
@@ -199,22 +203,16 @@ def dual_surjection(emb: AlgebraEmbedding) -> AtomPMorphism:
     """Ultrafilter map dual to an embedding, on principal ultrafilters.
 
     Each atom of the codomain sits inside the image of exactly one atom of
-    the domain; that atom is its image.
+    the domain; that atom is its image.  The map is read back through the
+    embedding itself, on bit-slice elements (bitset.read_map), which raises
+    RuntimeError when the embedding is no preimage operator of an atom map.
     """
-    cod_atoms = emb.codomain.natoms
-    mapping = [-1] * cod_atoms
-    for dom_atom, mask in enumerate(emb.preimage_masks):
-        for a in iter_bits(mask):
-            if mapping[a] >= 0:
-                raise ValueError("embedding image masks overlap")
-            mapping[a] = dom_atom
-    if any(v < 0 for v in mapping):
-        raise ValueError("embedding image masks do not cover")
     source = emb.codomain.atom_structure
     target = emb.domain.atom_structure
     if source is None or target is None:
         raise ValueError("dual surjection needs atom-structure provenance")
-    return AtomPMorphism(source, target, tuple(mapping))
+    return AtomPMorphism(source, target,
+                         read_map(emb, emb.codomain.natoms, emb.domain.natoms))
 
 
 def check_chain(chain: GraphChain, n: int, seed: int = 1, samples: int = 300,

@@ -268,3 +268,23 @@ def with_cyl_classes(m, i: int, class_of):
     broken.algebra = FiniteBao(replace(rel, cyl_class_of=tuple(classes)),
                                m.algebra.signature, m.algebra.atom_structure)
     return broken
+
+
+def embed_per_bit(emb, x: int) -> int:
+    """The dual embedding one atom of x at a time: the union of the
+    preimage masks of its atoms."""
+    out = 0
+    for atom in iter_bits(x):
+        out |= emb.preimage_masks[atom]
+    return out
+
+
+def read_map_by_singletons(preimage, nsrc: int, ntgt: int) -> tuple[int, ...]:
+    """f(a) is the one b with a in preimage({b}); one call per target item."""
+    images: list[int | None] = [None] * nsrc
+    for b in range(ntgt):
+        for a in iter_bits(preimage(1 << b)):
+            assert images[a] is None, f"item {a} lies in two singleton preimages"
+            images[a] = b
+    assert None not in images, "some item lies in no singleton preimage"
+    return tuple(images)

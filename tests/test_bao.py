@@ -1,10 +1,12 @@
 import random
+from functools import partial
 
 import pytest
 
 from graphbao.atoms import (all_partitions, all_sigmas, compose_sigma,
                             enumerate_atoms, subst_atom)
 from graphbao.bao import FiniteBao, complex_algebra, subst_generators
+from graphbao.bitset import read_map
 from graphbao.equations import (Equation, check_ca_axioms, check_discriminator,
                                 check_equation, check_equation_sampled,
                                 check_pea_axioms, eval_term, parse_equations,
@@ -12,7 +14,7 @@ from graphbao.equations import (Equation, check_ca_axioms, check_discriminator,
 from graphbao.errors import InfeasibleError, SizeLimitError
 from graphbao.graph import complete_graph, cycle_graph, path_graph
 from oracles import (atom_columns, corrupt_cyl_table, cyl_per_bit,
-                     direct_subst_tables, subst_columns)
+                     direct_subst_tables, read_map_by_singletons, subst_columns)
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +312,63 @@ class TestUltrafilterStructure:
                 combined = rel.subst_tables[all_sigmas(3).index(compose_sigma(sigma, tau))]
                 for y in range(a_k1.natoms):
                     assert combined[y] == rel.subst_tables[ti][rel.subst_tables[si][y]]
+
+
+class FlippedS(FiniteBao):
+    """s flips one output bit, for one map only."""
+
+    def __init__(self, rel, sigma, bit):
+        super().__init__(rel)
+        self.flip = sigma, bit
+
+    def s(self, sigma, x):
+        out = super().s(sigma, x)
+        return out ^ 1 << self.flip[1] if sigma == self.flip[0] else out
+
+
+class ShiftedC0(FiniteBao):
+    """c_0 sends each class to the next one: a partition, but not reflexive."""
+
+    def c(self, i, x):
+        out = super().c(i, x)
+        if i:
+            return out
+        masks = self.rel.cyl_class_masks[0]
+        return sum(masks[(k + 1) % len(masks)] for k, m in enumerate(masks) if m & out)
+
+
+class TestUltrafilterChecks:
+    def test_read_map_matches_singletons_on_every_s_map(self, a_k1, a_k2):
+        for algebra in (a_k1, a_k2):
+            nat = algebra.natoms
+            for sigma, table in zip(all_sigmas(3), algebra.rel.subst_tables):
+                preimage = partial(algebra.s, sigma)
+                assert read_map(preimage, nat, nat) == table
+                assert read_map_by_singletons(preimage, nat, nat) == table
+
+    @pytest.mark.parametrize("rank, bit", [(0, 0), (5, 17), (13, 33), (26, 20)])
+    def test_flipped_s_output_bit_is_caught(self, a_k1, rank, bit):
+        broken = FlippedS(a_k1.rel, all_sigmas(3)[rank], bit)
+        try:
+            recovered = broken.ultrafilter_structure()
+        except RuntimeError:
+            return
+        assert not recovered.same_structure(a_k1.rel)
+
+    def test_irreflexive_c_is_an_internal_error(self, a_k1):
+        broken = ShiftedC0(a_k1.rel)
+        assert broken.c(0, a_k1.top) == a_k1.top
+        with pytest.raises(RuntimeError, match="not reflexive"):
+            broken.ultrafilter_structure()
+
+    def test_non_partition_c_is_an_internal_error(self, a_k1):
+        broken = FiniteBao(corrupt_cyl_table(a_k1.rel, 0, 5))
+        with pytest.raises(RuntimeError, match="partition"):
+            broken.ultrafilter_structure()
+
+    def test_signature_without_s_keeps_its_tables(self, a_k1):
+        ca = FiniteBao(a_k1.rel, "CA")
+        assert ca.ultrafilter_structure().same_structure(a_k1.rel)
 
 
 class TestCanonicalExtension:

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from graphbao.bao import complex_algebra
+from graphbao.bitset import read_map
 from graphbao.duality import (AtomPMorphism, GraphChain, chain_from_json,
                               chain_to_json, check_chain, dual_embedding,
                               dual_surjection, functoriality_spot_check,
@@ -8,6 +11,7 @@ from graphbao.duality import (AtomPMorphism, GraphChain, chain_from_json,
                               validate_embedding)
 from graphbao.graph import (VertexMap, complete_graph, cycle_graph, graph_to_json,
                             is_p_morphism)
+from oracles import embed_per_bit, read_map_by_singletons
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +80,25 @@ class TestDualEmbedding:
             image = emb(1 << a)
             assert image != 0 and image not in seen
             seen.add(image)
+
+
+class TestEmbeddingAgainstOracles:
+    @pytest.mark.parametrize("which", ["identity", "wrap"])
+    def test_embedding_matches_per_bit(self, which, c3_structure, wrap63):
+        lifted = identity_pmorphism(c3_structure) if which == "identity" else wrap63
+        emb = dual_embedding(lifted)
+        dom = emb.domain
+        rng = random.Random(30)
+        probes = [0, dom.top] + [1 << a for a in range(dom.natoms)]
+        probes += [rng.getrandbits(dom.natoms) for _ in range(200)]
+        for x in probes:
+            assert emb(x) == embed_per_bit(emb, x)
+
+    def test_read_map_matches_singletons(self, wrap63):
+        emb = dual_embedding(wrap63)
+        nsrc, ntgt = emb.codomain.natoms, emb.domain.natoms
+        assert read_map(emb, nsrc, ntgt) == read_map_by_singletons(emb, nsrc, ntgt)
+        assert read_map(emb, nsrc, ntgt) == wrap63.mapping
 
 
 class TestDualSurjection:
