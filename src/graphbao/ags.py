@@ -15,10 +15,11 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .atoms import AtomStructure, all_sigmas, enumerate_atoms, DEFAULT_ATOM_BOUND
+from .atoms import (AtomStructure, all_partitions, all_sigmas, compose_sigma, enumerate_atoms,
+                    missed_coordinate, subst_partition, DEFAULT_ATOM_BOUND)
 from .bao import FiniteBao, complex_algebra
 from .bitset import iter_bits
-from .graph import Graph, chromatic_number, coverable_by_independent_sets
+from .graph import Graph, chromatic_number
 from .report import Report
 
 
@@ -103,43 +104,12 @@ def theta(m: AgsModel, k: int) -> bool:
     """True iff the inflated graph cannot be covered by k independent sets.
 
     With the set sort equal to the full power set this is exactly
-    chi(inflated) > k; the exact solver is the fast route and the literal
-    cover enumeration below stays available as an oracle.
+    chi(inflated) > k, read off the exact coloring solver.  The cover
+    search and the literal quantifier reading are test oracles.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     return m.chi_inflated > k
-
-
-def theta_by_cover_search(m: AgsModel, k: int) -> bool:
-    """Oracle for theta via exact cover by maximal independent sets."""
-    return not coverable_by_independent_sets(m.graph, k)
-
-
-def theta_literal(m: AgsModel, k: int, max_products: int = 2 * 10 ** 6) -> bool:
-    """Literal quantifier reading: search all k-tuples of independent sets
-    for one covering the vertices.  Only for tiny models."""
-    import itertools
-
-    from .errors import InfeasibleError
-
-    g = m.graph
-    independents = [s for s in range(1 << g.vertex_count) if _is_independent(g, s)]
-    if len(independents) ** max(k, 1) > max_products:
-        raise InfeasibleError("literal theta enumeration too large")
-    if k == 0:
-        return m.vtop != 0
-    for combo in itertools.product(independents, repeat=k):
-        union = 0
-        for s in combo:
-            union |= s
-        if union == m.vtop:
-            return False
-    return True
-
-
-def _is_independent(g: Graph, s: int) -> bool:
-    return all(not (g.adj[u] & s) for u in iter_bits(s))
 
 
 # property suites -------------------------------------------------------------
@@ -302,14 +272,11 @@ def check_projection_properties(m: AgsModel, seed: int = 1) -> Report:
 
     ok = True
     for sigma in all_sigmas(n):
-        hit = [set(sigma[k] for k in range(n) if k != i) for i in range(n)]
         table = A.rel.subst_for(sigma)
         for i in range(n):
-            missing = [j for j in range(n) if j not in hit[i]]
-            if len(missing) != 1:
-                continue
+            j = missed_coordinate(sigma, i)
             # ultrafilter substitution takes the generator along the table
-            if tuple(map(points[i].__getitem__, table)) != points[missing[0]]:
+            if j is not None and tuple(map(points[i].__getitem__, table)) != points[j]:
                 ok = False
     report.add("substitution permutes projections", ok, seconds=report.lap())
     return report
@@ -324,8 +291,6 @@ def _vertex_set_samples(m: AgsModel):
 
 def check_substitution_properties(m: AgsModel, seed: int = 1, samples: int = 200) -> Report:
     """Substitution identities; concrete items exhaustive over all maps."""
-    from .atoms import all_partitions, subst_partition
-
     rng = random.Random(seed)
     A = m.algebra
     n = m.n
@@ -345,7 +310,6 @@ def check_substitution_properties(m: AgsModel, seed: int = 1, samples: int = 200
     report.add("substitutions are boolean endomorphisms", ok, seconds=report.lap())
 
     ok = True
-    from .atoms import compose_sigma
     for _ in range(max(1, samples // 20)):
         x = A.sample_element(rng, pool)
         for sigma in sigmas:
@@ -368,11 +332,9 @@ def check_substitution_properties(m: AgsModel, seed: int = 1, samples: int = 200
     ok = True
     for sigma in sigmas:
         for i in range(n):
-            image = {sigma[k] for k in range(n) if k != i}
-            missing = [j for j in range(n) if j not in image]
-            if len(missing) != 1:
+            j = missed_coordinate(sigma, i)
+            if j is None:
                 continue
-            j = missing[0]
             if A.s(sigma, A.dist_element(i)) != A.dist_element(j):
                 ok = False
             for _ in range(max(1, samples // 40)):

@@ -84,7 +84,7 @@ def partition_pair_block(sim: tuple[int, ...]) -> tuple[int, int]:
         by_block.setdefault(b, []).append(j)
     pairs = [v for v in by_block.values() if len(v) == 2]
     if len(pairs) != 1 or num_blocks(sim) != len(sim) - 1:
-        raise ValueError("partition does not have a unique pair block")
+        raise RuntimeError("partition does not have a unique pair block")
     return pairs[0][0], pairs[0][1]
 
 
@@ -101,6 +101,15 @@ def all_sigmas(n: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def sigma_rank(n: int) -> dict[tuple[int, ...], int]:
     return {s: r for r, s in enumerate(all_sigmas(n))}
+
+
+@lru_cache(maxsize=None)
+def missed_coordinate(sigma: tuple[int, ...], i: int) -> int | None:
+    """The one coordinate outside sigma's image off i, when sigma is
+    injective off i; None otherwise."""
+    hit = {sigma[j] for j in range(len(sigma)) if j != i}
+    missed = [j for j in range(len(sigma)) if j not in hit]
+    return missed[0] if len(missed) == 1 else None
 
 
 def compose_sigma(sigma, tau) -> tuple[int, ...]:
@@ -137,30 +146,19 @@ def atom_is_valid(atom: Atom, inflated: Graph) -> bool:
     return all(v is None for v in atom.k)
 
 
-def diag_member(atom: Atom, i: int, j: int) -> bool:
-    return atom.sim[i] == atom.sim[j]
-
-
-def cyl_equiv(a: Atom, b: Atom, i: int) -> bool:
-    """Same value at coordinate i (undefined counts as equal) and same restriction."""
-    return a.k[i] == b.k[i] and restrict_partition(a.sim, i) == restrict_partition(b.sim, i)
-
-
 def subst_atom(atom: Atom, sigma: tuple[int, ...]) -> Atom:
     """Substitution action: partition pulled back along sigma, values rebuilt.
 
     The new value at i exists iff the new partition is i-distinguishing, and
-    is then the old value at the unique coordinate missed by sigma off i.
+    is then the old value at the coordinate missed by sigma off i (sigma is
+    injective off i whenever the new partition is i-distinguishing).
     """
     n = len(atom.sim)
     new_sim = subst_partition(atom.sim, sigma)
     new_k: list[int | None] = [None] * n
     for i in range(n):
         if is_i_distinguishing(new_sim, i):
-            hit = {sigma[j] for j in range(n) if j != i}
-            missed = [j for j in range(n) if j not in hit]
-            assert len(missed) == 1
-            new_k[i] = atom.k[missed[0]]
+            new_k[i] = atom.k[missed_coordinate(sigma, i)]
     return Atom(tuple(new_k), new_sim)
 
 

@@ -219,15 +219,14 @@ class FiniteBao:
         the operator off singleton elements: R_i is read from c_i on every
         singleton, and each substitution table from the public s_sigma on
         the bit-slice elements (bitset.read_map), never from the stored
-        tables.  A signature without substitutions has no substitution
-        relation to recover, so its tables are carried over as they are.
+        tables.  A principal ultrafilter contains d_ij iff its atom lies in
+        d_ij, so the diagonal masks carry over as they are; so do the
+        tables of a signature without substitutions.
 
         Raises RuntimeError when c_i does not induce a reflexive partition,
         or s_sigma is not the preimage operator of a map on atoms.
         """
         nat = self.natoms
-        diag = tuple(tuple(self.rel.diag_masks[i][j] for j in range(self.n))
-                     for i in range(self.n))
         class_of, class_masks = [], []
         for i in range(self.n):
             ids: dict[int, int] = {}
@@ -250,7 +249,8 @@ class FiniteBao:
                           for sigma in all_sigmas(self.n))
         else:
             subst = self.rel.subst_tables
-        return RelStructure(self.n, nat, diag, tuple(class_of), tuple(class_masks), subst)
+        return RelStructure(self.n, nat, self.rel.diag_masks, tuple(class_of),
+                            tuple(class_masks), subst)
 
     def canonical_extension(self) -> tuple["FiniteBao", list[int]]:
         """Complex algebra of the ultrafilter structure, plus the witness map.
@@ -302,9 +302,6 @@ class FiniteBao:
         return sorted(elems)
 
 
-def complex_algebra(s: AtomStructure, signature: str = "PEA",
-                    atom_bound: int | None = None) -> FiniteBao:
-    if atom_bound is not None and len(s) > atom_bound:
-        raise SizeLimitError(f"{len(s)} atoms exceed bound {atom_bound}")
+def complex_algebra(s: AtomStructure, signature: str = "PEA") -> FiniteBao:
     return FiniteBao(s.tables(), signature, atom_structure=s)
 

@@ -261,10 +261,12 @@ def cmd_net(args, config) -> int:
     with open(args.network) as handle:
         net = networks.network_from_json(json.load(handle), config["n"],
                                          model.algebra.natoms)
-    if args.net_cmd == "validate":
-        violations = networks.validate_network(net, model, args.mode)
+    # the boundary of an invalid network is undefined: report why instead
+    mode = args.mode if args.net_cmd == "validate" else "polyadic"
+    violations = networks.validate_network(net, model, mode)
+    if args.net_cmd == "validate" or violations:
         report = Report("network-validation")
-        report.add(f"{args.mode} conditions", not violations,
+        report.add(f"{mode} conditions", not violations,
                    {"violations": violations[:5]} if violations else None)
         emit(report, config)
         return 0 if not violations else 1

@@ -27,6 +27,10 @@ from .bao import FiniteBao
 from .errors import InfeasibleError, SizeLimitError
 
 VARIABLE_NAMES = {"x": 0, "y": 1, "z": 2}
+# pick_subalgebra's closures: at most this many random atoms as generators,
+# and at most this many elements, so a two-variable scan stays under 10**5
+SUBALGEBRA_GENERATORS = 3
+SUBALGEBRA_CAP = 316
 
 
 class UnboundVariableError(KeyError):
@@ -57,11 +61,9 @@ def term_variables(term: tuple) -> set[int]:
         return {term[1]}
     if op in ("zero", "one", "diag"):
         return set()
-    if op in ("neg",):
+    if op == "neg":
         return term_variables(term[1])
-    if op == "cyl":
-        return term_variables(term[2])
-    if op == "sub":
+    if op in ("cyl", "sub"):
         return term_variables(term[2])
     return term_variables(term[1]) | term_variables(term[2])
 
@@ -99,10 +101,6 @@ def equation_holds_at(algebra: FiniteBao, eq: Equation, env) -> bool:
 # parsing ------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
-
-
-def _tokenize(text: str) -> list[str]:
-    return _TOKEN.findall(text)
 
 
 def _parse_sexpr(tokens: list[str], pos: int):
@@ -171,18 +169,13 @@ def parse_equations(text: str, n: int) -> list[Equation]:
         if len(name_and_vars) > 1 and name_and_vars[1] != "forall":
             raise ValueError(f"bad header in {raw!r}")
         guards = head_parts[1].split() if len(head_parts) > 1 else []
-        node, pos = _parse_sexpr(_tokenize(body), 0)
+        node, pos = _parse_sexpr(_TOKEN.findall(body), 0)
         if not (isinstance(node, list) and node[0] == "=" and len(node) == 3):
             raise ValueError(f"equation body must be (= lhs rhs): {raw!r}")
         for values in itertools.product(range(n), repeat=len(idx_vars)):
             assignment = dict(zip(idx_vars, values))
-            ok = True
-            for guard in guards:
-                a, b = guard.split("!=")
-                if _index_value(a, assignment) == _index_value(b, assignment):
-                    ok = False
-                    break
-            if not ok:
+            if any(_index_value(a, assignment) == _index_value(b, assignment)
+                   for a, b in (guard.split("!=") for guard in guards)):
                 continue
             suffix = "".join(f"[{v}={assignment[v]}]" for v in idx_vars)
             out.append(Equation(name + suffix,
@@ -254,74 +247,45 @@ def check_equation_sampled(algebra: FiniteBao, eq: Equation, count: int,
     return Verdict(True, "sampled", count)
 
 
-def check_equation_exhaustive(algebra: FiniteBao, eq: Equation,
-                              assignment_cap: int = 4096) -> Verdict:
+def check_equation_on_subuniverse(algebra: FiniteBao, eq: Equation, elements) -> Verdict:
+    """Exhaustive over every assignment of the variables in `elements`, up to
+    10**6 assignments."""
     variables = sorted(eq.variables())
-    universe = 1 << algebra.natoms
-    if universe ** max(len(variables), 1) > assignment_cap and variables:
-        raise InfeasibleError("full element space too large for exhaustive check")
-    return _check_over(algebra, eq, variables, range(universe), "exhaustive")
-
-
-def check_equation_on_subuniverse(algebra: FiniteBao, eq: Equation, elements,
-                                  assignment_cap: int = 10 ** 6) -> Verdict:
-    variables = sorted(eq.variables())
-    if len(elements) ** max(len(variables), 1) > assignment_cap and variables:
-        raise InfeasibleError("subuniverse assignment space too large")
-    return _check_over(algebra, eq, variables, elements, "subalgebra")
-
-
-def _check_over(algebra, eq, variables, domain, mode) -> Verdict:
     if not variables:
         ok = equation_holds_at(algebra, eq, {})
-        return Verdict(ok, mode, 1, None if ok else {})
+        return Verdict(ok, "subalgebra", 1, None if ok else {})
+    if len(elements) ** len(variables) > 10 ** 6:
+        raise InfeasibleError("subuniverse assignment space too large")
     checked = 0
-    for values in itertools.product(domain, repeat=len(variables)):
+    for values in itertools.product(elements, repeat=len(variables)):
         checked += 1
         env = dict(zip(variables, values))
         if not equation_holds_at(algebra, eq, env):
-            return Verdict(False, mode, checked,
+            return Verdict(False, "subalgebra", checked,
                            {f"x{v}": hex(env[v]) for v in variables})
-    return Verdict(True, mode, checked)
+    return Verdict(True, "subalgebra", checked)
 
 
-def check_equation(algebra: FiniteBao, eq: Equation, strategy) -> Verdict:
-    """strategy: ("exhaustive",) | ("sampled", count, seed) | ("subalgebra", gens)."""
-    kind = strategy[0]
-    if kind == "exhaustive":
-        return check_equation_exhaustive(algebra, eq)
-    if kind == "sampled":
-        _, count, seed = strategy
-        return check_equation_sampled(algebra, eq, count, random.Random(seed))
-    if kind == "subalgebra":
-        sub = algebra.generated_subalgebra(strategy[1])
-        return check_equation_on_subuniverse(algebra, eq, sub)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def pick_subalgebra(algebra: FiniteBao, rng: random.Random, max_vars: int = 2,
-                    start_gens: int = 3, cap: int = 316) -> list[int]:
+def pick_subalgebra(algebra: FiniteBao, rng: random.Random) -> list[int]:
     """Seeded generators whose closure stays small enough for exhaustive runs.
 
-    Falls back to fewer generators (down to the constants-only subalgebra)
-    whenever the closure grows past what a two-variable product scan can
-    afford.
+    Tries SUBALGEBRA_GENERATORS random atoms, then one fewer at a time down
+    to the constants-only subalgebra, until a closure stays within
+    SUBALGEBRA_CAP elements.
     """
-    for count in range(start_gens, -1, -1):
+    for count in range(SUBALGEBRA_GENERATORS, -1, -1):
         gens = [1 << rng.randrange(algebra.natoms) for _ in range(count)]
         try:
-            sub = algebra.generated_subalgebra(gens, bound=cap)
+            return algebra.generated_subalgebra(gens, bound=SUBALGEBRA_CAP)
         except SizeLimitError:
             continue
-        if len(sub) ** max_vars <= 10 ** 5:
-            return sub
     raise InfeasibleError("no small generated subalgebra found")
 
 
 # suites ---------------------------------------------------------------------
 
 def check_axiom_suite(algebra: FiniteBao, equations, seed: int,
-                      samples: int, subalgebra: bool = True) -> "Report":
+                      samples: int) -> "Report":
     """Sampled checks per instantiated axiom, plus one exhaustive run over a
     small generated subalgebra shared by the whole suite."""
     from .report import Report
@@ -330,13 +294,12 @@ def check_axiom_suite(algebra: FiniteBao, equations, seed: int,
     report = Report("axiom-suite", {"seed": seed, "samples": samples})
     pool = algebra.bias_pool()
     sub = None
-    if subalgebra:
-        try:
-            sub = pick_subalgebra(algebra, rng)
-        except InfeasibleError:
-            # no small closure exists (possible on corrupted operator
-            # tables); the sampled tier still finds counterexamples
-            report.config["subalgebra"] = "unavailable"
+    try:
+        sub = pick_subalgebra(algebra, rng)
+    except InfeasibleError:
+        # no small closure exists (possible on corrupted operator
+        # tables); the sampled tier still finds counterexamples
+        report.config["subalgebra"] = "unavailable"
     for eq in equations:
         started = time.perf_counter()
         verdict = check_equation_sampled(algebra, eq, samples, rng, pool)
@@ -358,9 +321,7 @@ def check_ca_axioms(algebra: FiniteBao, seed: int = 1, samples: int = 1000) -> "
 def check_pea_axioms(algebra: FiniteBao, seed: int = 1, samples: int = 1000) -> "Report":
     """CA axioms plus the substitution identities; which further axioms a
     complete polyadic-equality axiomatisation would need is left open."""
-    axioms = ca_axioms(algebra.n) + substitution_axioms(algebra.n)
-    per_axiom = max(50, samples // 30)
-    return check_axiom_suite(algebra, axioms, seed, per_axiom)
+    return check_axiom_suite(algebra, pea_axioms(algebra.n), seed, max(50, samples // 30))
 
 
 def check_discriminator(algebra: FiniteBao, seed: int = 1, samples: int = 200) -> "Report":

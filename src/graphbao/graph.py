@@ -3,8 +3,10 @@
 Vertices are 0..n-1 and adjacency is one int bitmask per vertex.  Graphs are
 immutable after construction and safe to share between workers.  The exact
 chromatic solver is a DSATUR-ordered branch and bound intended for graphs of
-up to roughly 30 vertices; `brute_force_chromatic` is the slow oracle kept
-around for cross-checks on tiny inputs.
+up to roughly 30 vertices; `brute_force_chromatic` is the slow oracle that
+`suite all` cross-checks it against on tiny inputs.  The isomorphism test and
+the cover search by maximal independent sets are test oracles
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import random
 from dataclasses import dataclass
 
 from .bitset import iter_bits, mask_of
-from .errors import SizeLimitError
 
 
 @dataclass(frozen=True)
@@ -340,79 +341,6 @@ def complete_graph(m: int) -> Graph:
 
 def path_graph(m: int) -> Graph:
     return Graph.from_edges(m, [(i, i + 1) for i in range(m - 1)])
-
-
-def canonical_form(g: Graph, limit: int = 8) -> tuple:
-    """Minimal edge encoding over all vertex permutations; equal iff isomorphic."""
-    nv = g.vertex_count
-    if nv > limit:
-        raise SizeLimitError(f"canonical form capped at {limit} vertices")
-    pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
-    best = None
-    for perm in itertools.permutations(range(nv)):
-        code = 0
-        for k, (i, j) in enumerate(pairs):
-            if g.adj[perm[i]] >> perm[j] & 1:
-                code |= 1 << k
-        if best is None or code < best:
-            best = code
-    return (nv, best)
-
-
-def is_isomorphic(g: Graph, h: Graph, limit: int = 8) -> bool:
-    if g.vertex_count != h.vertex_count:
-        return False
-    return canonical_form(g, limit) == canonical_form(h, limit)
-
-
-def maximal_independent_sets(g: Graph) -> list[int]:
-    """All maximal independent sets as bitmasks (Bron-Kerbosch with pivoting)."""
-    nv = g.vertex_count
-    full = (1 << nv) - 1
-    cadj = [full ^ g.adj[v] ^ (1 << v) for v in range(nv)]
-    out: list[int] = []
-
-    def expand(r, p, x):
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        pivot = max(iter_bits(p | x), key=lambda u: (p & cadj[u]).bit_count())
-        for v in iter_bits(p & ~cadj[pivot]):
-            expand(r | (1 << v), p & cadj[v], x & cadj[v])
-            p ^= 1 << v
-            x |= 1 << v
-
-    expand(0, full, 0)
-    return out
-
-
-def coverable_by_independent_sets(g: Graph, k: int) -> bool:
-    """Can the vertex set be covered by k independent sets?
-
-    Exact cover search over maximal independent sets; independent of the
-    coloring solver, so the two can cross-check each other.
-    """
-    full = (1 << g.vertex_count) - 1
-    if full == 0:
-        return True
-    if k <= 0:
-        return False
-    sets = maximal_independent_sets(g)
-    seen = set()
-
-    def cover(done, budget):
-        if done == full:
-            return True
-        if budget == 0 or (done, budget) in seen:
-            return False
-        v = (~done & full & -(~done & full)).bit_length() - 1
-        for m in sets:
-            if m >> v & 1 and cover(done | m, budget - 1):
-                return True
-        seen.add((done, budget))
-        return False
-
-    return cover(0, k)
 
 
 def search_high_girth_chromatic(min_girth: int, min_chi: int, budget: int = 64,

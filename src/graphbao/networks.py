@@ -181,20 +181,18 @@ def ultrafilter_for_tuple(p: PatchSystem, v: tuple[int, ...], m: AgsModel) -> in
     return m.structure.index_of(Atom((None,) * n, sim))
 
 
-def network_from_patch(p: PatchSystem, m: AgsModel, rep_choice: str = "lex",
-                       seed: int = 0, preferred: list | None = None) -> UfNetwork:
+def network_from_patch(p: PatchSystem, m: AgsModel,
+                       preferred: list | None = None) -> UfNetwork:
     """Label every tuple from a coherent patch system.
 
     Non-injective tuples get their unique pattern-matching atom; injective
-    tuples are labeled on one representative per permutation orbit and
-    propagated through the substitution action.
+    tuples are labeled on one representative per permutation orbit (the
+    least, unless `preferred` names one) and propagated through the
+    substitution action.
     """
-    import random
-
     n = m.n
     if not p.is_total(n):
         raise ValueError("patch system must be total on (n-1)-subsets")
-    rng = random.Random(seed)
     labels: dict[tuple[int, ...], int] = {}
     injective: dict[frozenset, list[tuple[int, ...]]] = {}
     for v in itertools.product(p.nodes, repeat=n):
@@ -208,7 +206,7 @@ def network_from_patch(p: PatchSystem, m: AgsModel, rep_choice: str = "lex",
     preferred = preferred or []
     for image, orbit in injective.items():
         orbit.sort()
-        rep = orbit[0] if rep_choice == "lex" else rng.choice(orbit)
+        rep = orbit[0]
         for cand in preferred:
             if cand in orbit:
                 rep = cand
@@ -229,13 +227,13 @@ def network_from_patch(p: PatchSystem, m: AgsModel, rep_choice: str = "lex",
 
 # the game ---------------------------------------------------------------------
 
-def forall_moves(m: AgsModel, net: UfNetwork, atoms_only: bool = True) -> list[GameMove]:
+def forall_moves(m: AgsModel, net: UfNetwork) -> list[GameMove]:
     """Challenger moves (v, i, a) with the current label below c_i(a).
 
     With principal ultrafilters and a an atom, that means a lies in the
-    cylindric class of the current label.  Atom moves are the hard cases
-    since cylindrifications are completely additive; element moves beyond
-    atoms sit behind the flag.
+    cylindric class of the current label.  Demands beyond atoms add no
+    move: c_i is completely additive, so a label below c_i(x) lies below
+    c_i(a) for some atom a below x, and a witness of a witnesses x.
     """
     rel = m.algebra.rel
     out = []
@@ -243,31 +241,23 @@ def forall_moves(m: AgsModel, net: UfNetwork, atoms_only: bool = True) -> list[G
         lab = net.labels[v]
         for i in range(m.n):
             cls = rel.cyl_class_masks[i][rel.cyl_class_of[i][lab]]
-            for a in iter_bits(cls):
-                out.append(GameMove(v, i, a))
-            if not atoms_only:
-                if m.algebra.natoms > 12:
-                    raise ValueError("full-element moves only on tiny algebras")
-                for x in range(1, 1 << m.algebra.natoms):
-                    if x & cls and not (x & (x - 1) == 0):
-                        out.append(GameMove(v, i, x))
+            out += [GameMove(v, i, a) for a in iter_bits(cls)]
     return out
 
 
-def _witness_tuples(net: UfNetwork, move: GameMove):
+def _witnessed(net: UfNetwork, move: GameMove) -> bool:
+    """Some old tuple, v with entry i replaced, already carries the demanded atom."""
     v, i = move.v, move.i
-    for node in net.nodes:
-        yield v[:i] + (node,) + v[i + 1:]
+    return any(net.labels[v[:i] + (node,) + v[i + 1:]] == move.atom for node in net.nodes)
 
 
 def exists_responses(m: AgsModel, net: UfNetwork, move: GameMove):
     """All legal responses: the unchanged network when a witness tuple already
     carries the demanded atom, then every one-fresh-node extension."""
-    for w in _witness_tuples(net, move):
-        if net.labels[w] == move.atom:
-            yield net
-            break
-    yield from _extension_networks(m, net, move)
+    witnessed = _witnessed(net, move)
+    if witnessed:
+        yield net
+    yield from _extension_networks(m, net, move, witnessed)
 
 
 @functools.cache
@@ -294,7 +284,7 @@ def _link_tables(n: int, nodes: tuple[int, ...]):
                    for t in fresh}
 
 
-def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove):
+def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove, witnessed: bool):
     """Every valid network on one fresh node that witnesses the move, by
     backtracking over the fresh tuples (w0 first, then sorted) and over
     candidates in ascending atom index, so responses come in a fixed order.
@@ -314,8 +304,7 @@ def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove):
     nodes2 = net.nodes + (max(net.nodes) + 1,)
     w0 = v[:i] + (nodes2[-1],) + v[i + 1:]
     # the demand must be witnessed by an old tuple or by the fresh one
-    need_w0 = not any(net.labels[w] == a for w in _witness_tuples(net, move))
-    if need_w0 and m.structure.atoms[a].sim != canonical_partition(w0):
+    if not witnessed and m.structure.atoms[a].sim != canonical_partition(w0):
         return
     fresh, links = _link_tables(n, nodes2)
     order = [w0] + [t for t in fresh if t != w0]
@@ -324,7 +313,7 @@ def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove):
     assigned = dict(net.labels)
 
     def pool(t, pattern, cyl, in_links):
-        mask = 1 << a if t == w0 and need_w0 else m.pattern_masks.get(pattern, 0)
+        mask = 1 << a if t == w0 and not witnessed else m.pattern_masks.get(pattern, 0)
         for i2, t2 in cyl:
             if t2 in assigned:
                 mask &= class_masks[i2][class_of[i2][assigned[t2]]]
@@ -367,8 +356,7 @@ class _PreconditionFailed(Exception):
 
 
 def exists_survives(m: AgsModel, depth: int, strategy: str = "exhaustive",
-                    max_visits: int = 500000, collect: list | None = None,
-                    atoms_only: bool = True) -> GameVerdict:
+                    max_visits: int = 500000, collect: list | None = None) -> GameVerdict:
     """Bounded verdict for the builder player.
 
     exhaustive: ground truth at the given depth by backtracking over all
@@ -404,7 +392,7 @@ def exists_survives(m: AgsModel, depth: int, strategy: str = "exhaustive",
         if visited > max_visits:
             raise _BudgetExceeded()
         result = (True, None)
-        for move in forall_moves(m, net, atoms_only):
+        for move in forall_moves(m, net):
             found = False
             for resp in exists_responses(m, net, move):
                 if collect is not None and resp is not net:
@@ -437,9 +425,8 @@ def paper_response(m: AgsModel, net: UfNetwork, move: GameMove,
     """
     n = m.n
     v, i, a = move.v, move.i, move.atom
-    for w in _witness_tuples(net, move):
-        if net.labels[w] == a:
-            return net
+    if _witnessed(net, move):
+        return net
     sim_a = m.structure.atoms[a].sim
     assert all(sim_a[i] != sim_a[j] for j in range(n) if j != i), \
         "a collapsed demand always has an existing witness tuple"
@@ -503,9 +490,7 @@ def sample_play(m: AgsModel, rounds: int, strategy: str = "exhaustive") -> list[
         if not moves:
             break
         # prefer a challenge no existing tuple witnesses, so the play grows
-        move = next((mv for mv in moves
-                     if all(net.labels[w] != mv.atom
-                            for w in _witness_tuples(net, mv))), moves[0])
+        move = next((mv for mv in moves if not _witnessed(net, mv)), moves[0])
         if strategy == "paper":
             net2 = paper_response(m, net, move, r)
         else:

@@ -6,11 +6,13 @@ import copy
 import itertools
 from dataclasses import replace
 
-from graphbao.atoms import all_sigmas, subst_atom
+from graphbao.atoms import Atom, all_sigmas, restrict_partition, subst_atom
 from graphbao.bao import FiniteBao, RelStructure
 from graphbao.bitset import iter_bits
+from graphbao.errors import InfeasibleError, SizeLimitError
 from graphbao.graph import Graph, inflate
 from graphbao.networks import UfNetwork, validate_network
+from graphbao.report import Report
 
 
 def remove_edge_girth(g: Graph) -> int | None:
@@ -288,3 +290,162 @@ def read_map_by_singletons(preimage, nsrc: int, ntgt: int) -> tuple[int, ...]:
             images[a] = b
     assert None not in images, "some item lies in no singleton preimage"
     return tuple(images)
+
+
+# graphs ----------------------------------------------------------------------
+
+def canonical_form(g: Graph, limit: int = 8) -> tuple:
+    """Minimal edge encoding over all vertex permutations; equal iff isomorphic."""
+    nv = g.vertex_count
+    if nv > limit:
+        raise SizeLimitError(f"canonical form capped at {limit} vertices")
+    pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
+    best = None
+    for perm in itertools.permutations(range(nv)):
+        code = 0
+        for k, (i, j) in enumerate(pairs):
+            if g.adj[perm[i]] >> perm[j] & 1:
+                code |= 1 << k
+        if best is None or code < best:
+            best = code
+    return (nv, best)
+
+
+def is_isomorphic(g: Graph, h: Graph, limit: int = 8) -> bool:
+    if g.vertex_count != h.vertex_count:
+        return False
+    return canonical_form(g, limit) == canonical_form(h, limit)
+
+
+def maximal_independent_sets(g: Graph) -> list[int]:
+    """All maximal independent sets as bitmasks (Bron-Kerbosch with pivoting)."""
+    nv = g.vertex_count
+    full = (1 << nv) - 1
+    cadj = [full ^ g.adj[v] ^ (1 << v) for v in range(nv)]
+    out: list[int] = []
+
+    def expand(r, p, x):
+        if p == 0 and x == 0:
+            out.append(r)
+            return
+        pivot = max(iter_bits(p | x), key=lambda u: (p & cadj[u]).bit_count())
+        for v in iter_bits(p & ~cadj[pivot]):
+            expand(r | (1 << v), p & cadj[v], x & cadj[v])
+            p ^= 1 << v
+            x |= 1 << v
+
+    expand(0, full, 0)
+    return out
+
+
+def coverable_by_independent_sets(g: Graph, k: int) -> bool:
+    """Can the vertex set be covered by k independent sets?
+
+    Exact cover search over maximal independent sets; independent of the
+    coloring solver, so the two can cross-check each other.
+    """
+    full = (1 << g.vertex_count) - 1
+    if full == 0:
+        return True
+    if k <= 0:
+        return False
+    sets = maximal_independent_sets(g)
+    seen = set()
+
+    def cover(done, budget):
+        if done == full:
+            return True
+        if budget == 0 or (done, budget) in seen:
+            return False
+        v = (~done & full & -(~done & full)).bit_length() - 1
+        for m in sets:
+            if m >> v & 1 and cover(done | m, budget - 1):
+                return True
+        seen.add((done, budget))
+        return False
+
+    return cover(0, k)
+
+
+def is_independent(g: Graph, s: int) -> bool:
+    return all(not (g.adj[u] & s) for u in iter_bits(s))
+
+
+def theta_by_cover_search(m, k: int) -> bool:
+    """theta via exact cover by maximal independent sets."""
+    return not coverable_by_independent_sets(m.graph, k)
+
+
+def theta_literal(m, k: int, max_products: int = 2 * 10 ** 6) -> bool:
+    """Literal quantifier reading: search all k-tuples of independent sets
+    for one covering the vertices.  Only for tiny models."""
+    g = m.graph
+    independents = [s for s in range(1 << g.vertex_count) if is_independent(g, s)]
+    if len(independents) ** max(k, 1) > max_products:
+        raise InfeasibleError("literal theta enumeration too large")
+    if k == 0:
+        return m.vtop != 0
+    for combo in itertools.product(independents, repeat=k):
+        union = 0
+        for s in combo:
+            union |= s
+        if union == m.vtop:
+            return False
+    return True
+
+
+# atoms and atom maps ---------------------------------------------------------
+
+def diag_member(atom: Atom, i: int, j: int) -> bool:
+    return atom.sim[i] == atom.sim[j]
+
+
+def cyl_equiv(a: Atom, b: Atom, i: int) -> bool:
+    """Same value at coordinate i (undefined counts as equal) and same restriction."""
+    return a.k[i] == b.k[i] and restrict_partition(a.sim, i) == restrict_partition(b.sim, i)
+
+
+def atom_pmorphism_per_atom(g) -> Report:
+    """validate_atom_pmorphism one atom at a time, per coordinate and per map,
+    with the cylindric back condition walked class member by class member."""
+    report = Report("atom-p-morphism")
+    src, tgt = g.source, g.target
+    image = g.mapping.__getitem__
+    n = src.n
+
+    ok = all((src.atoms[a].sim[i] == src.atoms[a].sim[j])
+             == (tgt.atoms[image(a)].sim[i] == tgt.atoms[image(a)].sim[j])
+             for a in range(len(src)) for i in range(n) for j in range(n))
+    report.add("diagonal membership preserved and reflected", ok)
+
+    srel, trel = src.tables(), tgt.tables()
+    forth = True
+    back = True
+    for i in range(n):
+        sclass, tclass = srel.cyl_class_of[i], trel.cyl_class_of[i]
+        image_class: dict[int, int] = {}
+        covered: dict[int, set] = {}
+        for a in range(len(src)):
+            cid = sclass[a]
+            tid = tclass[image(a)]
+            if image_class.setdefault(cid, tid) != tid:
+                forth = False
+            covered.setdefault(cid, set()).add(image(a))
+        for cid, tid in image_class.items():
+            members = set(iter_bits(trel.cyl_class_masks[i][tid]))
+            if covered[cid] != members:
+                back = False
+    report.add("cylindric forth", forth)
+    report.add("cylindric back", back)
+
+    subst_ok = True
+    for rank in range(len(all_sigmas(n))):
+        s_table = srel.subst_tables[rank]
+        t_table = trel.subst_tables[rank]
+        for a in range(len(src)):
+            if image(s_table[a]) != t_table[image(a)]:
+                subst_ok = False
+    report.add("substitution equivariance (forth)", subst_ok)
+    report.add("substitution back", subst_ok)
+    report.add("surjective on atoms", len(set(g.mapping)) == len(tgt))
+    return report

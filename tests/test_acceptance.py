@@ -16,11 +16,11 @@ from graphbao.atoms import enumerate_atoms
 from graphbao.bao import complex_algebra
 from graphbao.equations import check_ca_axioms, check_discriminator
 from graphbao.graph import (Graph, VertexMap, brute_force_chromatic,
-                            chromatic_number, complete_graph,
-                            coverable_by_independent_sets, cycle_graph, girth,
+                            chromatic_number, complete_graph, cycle_graph, girth,
                             inflate, mycielskian, path_graph,
                             search_high_girth_chromatic)
-from oracles import coherent_via_atom_search, naive_atom_set, naive_survives
+from oracles import (coherent_via_atom_search, coverable_by_independent_sets,
+                     naive_atom_set, naive_survives)
 
 RESULTS = []
 

@@ -5,7 +5,8 @@ import pytest
 from graphbao import ags
 from graphbao.bitset import iter_bits
 from graphbao.graph import Graph, chromatic_number, cycle_graph, path_graph
-from oracles import cyl_relatedness_pairwise, proj_per_bit, with_cyl_classes
+from oracles import (cyl_relatedness_pairwise, proj_per_bit, theta_by_cover_search,
+                     theta_literal, with_cyl_classes)
 
 RELATEDNESS = "cylindric relatedness is diagonal agreement plus equal projection"
 
@@ -191,17 +192,17 @@ class TestTheta:
     def test_matches_cover_oracle(self, k1_model, k2_model):
         for m in (k1_model, k2_model):
             for k in range(7):
-                assert ags.theta(m, k) == ags.theta_by_cover_search(m, k)
+                assert ags.theta(m, k) == theta_by_cover_search(m, k)
 
     def test_matches_literal_oracle_tiny(self, k1_model):
         for k in range(4):
-            assert ags.theta(k1_model, k) == ags.theta_literal(k1_model, k)
+            assert ags.theta(k1_model, k) == theta_literal(k1_model, k)
 
     def test_literal_oracle_on_p3(self):
         m = ags.build_model(path_graph(3), 3)
         for k in range(4):
             expected = chromatic_number(m.graph)[0] > k
-            assert ags.theta_literal(m, k) == expected
+            assert theta_literal(m, k) == expected
 
     def test_equivalence_on_random_graphs(self):
         rng = random.Random(17)
@@ -220,7 +221,7 @@ class TestTheta:
         from graphbao.errors import InfeasibleError
         m = ags.build_model(path_graph(3), 3)
         with pytest.raises(InfeasibleError):
-            ags.theta_literal(m, 6)
+            theta_literal(m, 6)
 
 
 class TestRunSuite:

@@ -4,12 +4,11 @@ import random
 import pytest
 
 from graphbao.atoms import (Atom, all_partitions, all_sigmas, atom_is_valid,
-                            canonical_partition, compose_sigma, cyl_equiv,
-                            diag_member, enumerate_atoms, is_i_distinguishing,
-                            restrict_partition, subst_atom)
+                            canonical_partition, compose_sigma, enumerate_atoms,
+                            is_i_distinguishing, restrict_partition, subst_atom)
 from graphbao.errors import SizeLimitError
 from graphbao.graph import Graph, complete_graph, cycle_graph, path_graph
-from oracles import naive_atom_set
+from oracles import cyl_equiv, diag_member, naive_atom_set
 
 K1_HASH = "0bd8160f29277b4718062d2ac08adab8259cfd2946cbbe9dc02da239e0c16f2a"
 

@@ -203,6 +203,28 @@ class TestNetAndGameVerbs:
                              "--graph", "K1")
         assert code == 1
 
+    @pytest.mark.parametrize("change", ["relabel", "drop"])
+    def test_net_boundary_of_invalid_network(self, capsys, tmp_path, change):
+        _, out, _ = run_cli(capsys, "game", "run", "--graph", "K1",
+                            "--depth", "1", "--trace", "--output", "json")
+        network = json.loads(out)["play"][-1]["network"]
+        if change == "relabel":
+            network["labels"]["0,0,1"] = 2
+        else:
+            del network["labels"]["0,0,1"]
+        net_file = tmp_path / "bad.json"
+        net_file.write_text(json.dumps(network))
+        code, validated, _ = run_cli(capsys, "net", "validate", str(net_file),
+                                     "--graph", "K1", "--output", "json")
+        assert code == 1
+        code, out, err = run_cli(capsys, "net", "boundary", str(net_file), "--graph", "K1",
+                                 "--output", "json")
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert report["title"] == "network-validation" and not report["ok"]
+        strip = TestPinnedOutput.stripped_digest
+        assert strip(out) == strip(validated)
+
     def test_net_validate_rejects_labels_out_of_range(self, capsys, tmp_path):
         for label in (999, -1):
             net_file = tmp_path / "net.json"
@@ -246,6 +268,19 @@ class TestDualVerbs:
         code, _, _ = run_cli(capsys, "dual", "check-chain", str(chain_file),
                              "--atom-bound", "6000", "--samples", "100")
         assert code == 0
+
+    @pytest.mark.parametrize("document", [
+        {"stages": [{"vertices": 1, "edges": []}] * 2, "steps": 5},
+        [{"vertices": 1, "edges": []}],
+        {"stages": [{"vertices": 1, "edges": []}] * 2, "steps": [["a"]]},
+        {"stages": [{"vertices": 1, "edges": []}] * 2, "steps": [[None]]},
+    ], ids=["steps-not-a-list", "top-level-list", "string-vertex", "null-vertex"])
+    def test_check_chain_rejects_malformed_documents(self, capsys, tmp_path, document):
+        chain_file = tmp_path / "chain.json"
+        chain_file.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "dual", "check-chain", str(chain_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestSuiteAll:
@@ -374,3 +409,54 @@ class TestUsageErrors:
         os.close(write_end)
         assert proc.stderr == b""
         assert proc.returncode == cli.EXIT_BROKEN_PIPE
+
+
+class TestPinnedOutput:
+    """sha256 of each command's JSON stdout with every `seconds` key dropped;
+    a refactor that keeps the output contract leaves these unchanged."""
+
+    PINNED = {
+        ("bao", "check", "K1", "--axioms", "pea", "--samples", "300"):
+            "4820503e432874247ba0a94044ceef65e245eb12921b00163273e61ac2265762",
+        ("bao", "canext", "K1"):
+            "fcd0b4fbff2c391fdae26a98eb1642fcea476b5f3c95ad364d3369359ad449ff",
+        ("ags", "suite", "all", "K1"):
+            "6a7a8fce62a14946c4c7835e5411b8f48183de80d38d8fd5f418f291c5442707",
+        ("suite", "all", "K1"):
+            "d3e55c421ee83d1bd38df17cfbf9843c2f61fa4dd0a0ee4ae6e9b93cbd58c6a7",
+        ("game", "run", "K1", "--depth", "1", "--trace"):
+            "2d3def0bac4a59e5d5ba095fb9191b26f6d6f8c75f0c442b858a3532b092134a",
+        ("dual", "lift", "--source", "C6", "--target", "C3", "--map", "0,1,2,0,1,2",
+         "--atom-bound", "6000"):
+            "d017e6908704b9f4285f88ada9eb5a77fe0c599a80db17f1ac4b7b4b415e3340",
+    }
+    NET_VALIDATE = "d8add4e4959ea2bb2cb9aef85c54c3c34caf3ea6fbb97eeb74108e51df6f5455"
+
+    @staticmethod
+    def stripped_digest(out: str) -> str:
+        import hashlib
+
+        def strip(value):
+            if isinstance(value, dict):
+                return {k: strip(v) for k, v in value.items() if k != "seconds"}
+            if isinstance(value, list):
+                return [strip(v) for v in value]
+            return value
+
+        blob = json.dumps(strip(json.loads(out)), sort_keys=True).encode()
+        return hashlib.sha256(blob).hexdigest()
+
+    @pytest.mark.parametrize("argv", list(PINNED), ids=" ".join)
+    def test_json_output_pinned(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--output", "json")
+        assert code == 0
+        assert self.stripped_digest(out) == self.PINNED[argv]
+
+    def test_net_validate_pinned(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "game", "run", "K1", "--depth", "1", "--trace",
+                            "--output", "json")
+        net_file = tmp_path / "net.json"
+        net_file.write_text(json.dumps(json.loads(out)["play"][-1]["network"]))
+        code, out, _ = run_cli(capsys, "net", "validate", str(net_file), "--graph", "K1",
+                               "--output", "json")
+        assert code == 0 and self.stripped_digest(out) == self.NET_VALIDATE

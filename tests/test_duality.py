@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from graphbao.bao import complex_algebra
+from graphbao.atoms import Atom, enumerate_atoms
+from graphbao.bao import FiniteBao, complex_algebra
 from graphbao.bitset import read_map
-from graphbao.duality import (AtomPMorphism, GraphChain, chain_from_json,
-                              chain_to_json, check_chain, dual_embedding,
-                              dual_surjection, functoriality_spot_check,
+from graphbao.duality import (AlgebraEmbedding, AtomPMorphism, GraphChain,
+                              chain_from_json, chain_to_json, check_chain,
+                              dual_embedding, dual_surjection, extend_to_copies,
                               identity_pmorphism, lift, validate_atom_pmorphism,
                               validate_embedding)
 from graphbao.graph import (VertexMap, complete_graph, cycle_graph, graph_to_json,
                             is_p_morphism)
-from oracles import embed_per_bit, read_map_by_singletons
+from oracles import atom_pmorphism_per_atom, embed_per_bit, read_map_by_singletons
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +53,61 @@ class TestLift:
         broken = list(ident.mapping)
         broken[5] = (broken[5] + 1) % len(c3_structure)
         report = validate_atom_pmorphism(
-            AtomPMorphism(c3_structure, c3_structure, tuple(broken)),
-            check_surjective=False)
+            AtomPMorphism(c3_structure, c3_structure, tuple(broken)))
         assert not report.ok
+
+
+class TestPMorphismAgainstPerAtomOracle:
+    """The per-map check and the per-atom oracle give the same report, and a
+    corrupted map fails the item it targets in both."""
+
+    @staticmethod
+    def reports(g):
+        fast = validate_atom_pmorphism(g).to_dict(strip_timing=True)
+        assert fast == atom_pmorphism_per_atom(g).to_dict(strip_timing=True)
+        return {item["name"]: item["status"] for item in fast["items"]}
+
+    @staticmethod
+    def redirected(structure, pairs):
+        mapping = list(range(len(structure)))
+        for a, b in pairs:
+            mapping[a] = b
+        return AtomPMorphism(structure, structure, tuple(mapping))
+
+    def test_valid_maps(self, c3_structure, wrap63):
+        rot = lift(VertexMap(cycle_graph(3), cycle_graph(3), (1, 2, 0)), 3,
+                   source_structure=c3_structure, target_structure=c3_structure)
+        assert rot.mapping != tuple(range(len(c3_structure)))
+        for g in (identity_pmorphism(c3_structure), wrap63, rot):
+            assert set(self.reports(g).values()) == {"pass"}
+
+    def test_corrupted_maps(self, c3_structure):
+        last = len(c3_structure) - 1
+        atoms = c3_structure.atoms
+        assert atoms[0].sim != atoms[last].sim and atoms[1].sim == atoms[2].sim
+        cases = {
+            # the bottom atom sent to an atom of another partition
+            "diagonal membership preserved and reflected": [(0, last)],
+            # atom 5 sent to atom 6: its classes split, and nothing maps onto 5
+            "cylindric forth": [(5, 6)],
+            "surjective on atoms": [(5, 6)],
+            # two pair atoms of one partition swapped
+            "substitution equivariance (forth)": [(1, 2), (2, 1)],
+        }
+        for item, pairs in cases.items():
+            assert self.reports(self.redirected(c3_structure, pairs))[item] == "fail"
+
+    def test_back_fails_where_forth_holds(self):
+        # K1 into K2 by the vertex map 0 -> 0: classes go into classes, but
+        # the K2 classes hold atoms valued at the copies of vertex 1
+        k1, k2 = enumerate_atoms(complete_graph(1), 3), enumerate_atoms(complete_graph(2), 3)
+        mapped = extend_to_copies(VertexMap(complete_graph(1), complete_graph(2), (0,)), 3)
+        images = tuple(k2.index_of(Atom(tuple(None if v is None else mapped(v) for v in a.k),
+                                        a.sim)) for a in k1.atoms)
+        status = self.reports(AtomPMorphism(k1, k2, images))
+        assert status["cylindric forth"] == "pass"
+        assert status["cylindric back"] == "fail"
+        assert status["surjective on atoms"] == "fail"
 
 
 class TestDualEmbedding:
@@ -111,6 +164,12 @@ class TestDualSurjection:
         back = dual_surjection(emb)
         assert back.mapping == wrap63.mapping
 
+    def test_missing_provenance_is_internal_error(self, c3_structure):
+        rel = c3_structure.tables()
+        emb = AlgebraEmbedding(FiniteBao(rel), FiniteBao(rel), tuple(range(rel.natoms)))
+        with pytest.raises(RuntimeError):
+            dual_surjection(emb)
+
     def test_surjectivity_by_image_count(self, wrap63):
         back = dual_surjection(dual_embedding(wrap63))
         assert len(set(back.mapping)) == len(wrap63.target)
@@ -150,11 +209,8 @@ class TestChains:
         chis = [item.detail["chi"] for item in report.items
                 if item.name.endswith("chromatic number")]
         assert chis == [3, 2, 2]
-
-    def test_functoriality(self):
-        f = VertexMap(cycle_graph(6), cycle_graph(3), tuple(i % 3 for i in range(6)))
-        g = VertexMap(cycle_graph(12), cycle_graph(6), tuple(i % 6 for i in range(12)))
-        assert functoriality_spot_check(f, g, 3, max_atoms=50000)
+        # lift(f after g) == lift(f) after lift(g) on the C12 -> C6 -> C3 maps
+        assert "steps 2->0: lifts compose" in {item.name for item in report.items}
 
     def test_contravariance_of_duals(self, c6_structure, c3_structure):
         # ((g after f))+ agrees with f+ after g+ on sampled elements, with a

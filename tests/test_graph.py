@@ -4,14 +4,13 @@ import random
 import pytest
 
 from graphbao.errors import SizeLimitError
-from graphbao.graph import (Graph, VertexMap, brute_force_chromatic, canonical_form,
-                            chromatic_number, complete_graph, compose_maps,
-                            coverable_by_independent_sets, cycle_graph,
-                            disjoint_union, girth, graph_from_json, graph_to_dot,
-                            graph_to_json, inflate, is_isomorphic, is_p_morphism,
-                            is_proper_coloring, is_surjective, mycielskian,
-                            path_graph, search_high_girth_chromatic)
-from oracles import remove_edge_girth
+from graphbao.graph import (Graph, VertexMap, brute_force_chromatic, chromatic_number,
+                            complete_graph, compose_maps, cycle_graph, disjoint_union,
+                            girth, graph_from_json, graph_to_dot, graph_to_json,
+                            inflate, is_p_morphism, is_proper_coloring, is_surjective,
+                            mycielskian, path_graph, search_high_girth_chromatic)
+from oracles import (canonical_form, coverable_by_independent_sets, is_isomorphic,
+                     remove_edge_girth)
 
 
 def petersen():
