@@ -132,9 +132,6 @@ class FiniteBao:
     def neg(self, x: int) -> int:
         return self.top ^ x
 
-    def is_atom(self, x: int) -> bool:
-        return x != 0 and x & (x - 1) == 0
-
     # operators -----------------------------------------------------------
     def c(self, i: int, x: int) -> int:
         """Cylindrification: union of the equivalence classes meeting x."""
@@ -177,10 +174,6 @@ class FiniteBao:
                 dij = self.rel.diag_masks[i][j]
                 acc &= dij if sim[i] == sim[j] else self.neg(dij)
         return acc
-
-    def dims(self, x: int) -> frozenset[int]:
-        """Coordinates whose cylindrification moves x."""
-        return frozenset(i for i in range(self.n) if self.c(i, x) != x)
 
     def discriminator(self, x: int) -> int:
         """c_1 .. c_{n-1} c_{n-1} .. c_1 x."""

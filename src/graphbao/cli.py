@@ -262,11 +262,10 @@ def cmd_net(args, config) -> int:
         net = networks.network_from_json(json.load(handle), config["n"],
                                          model.algebra.natoms)
     # the boundary of an invalid network is undefined: report why instead
-    mode = args.mode if args.net_cmd == "validate" else "polyadic"
-    violations = networks.validate_network(net, model, mode)
+    violations = networks.validate_network(net, model, args.mode)
     if args.net_cmd == "validate" or violations:
         report = Report("network-validation")
-        report.add(f"{mode} conditions", not violations,
+        report.add(f"{args.mode} conditions", not violations,
                    {"violations": violations[:5]} if violations else None)
         emit(report, config)
         return 0 if not violations else 1
@@ -443,8 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp = net_sub.add_parser(verb, parents=[common])
         sp.add_argument("network", help="network JSON file")
         sp.add_argument("--graph", required=True)
-        sp.add_argument("--mode", default="polyadic",
-                        choices=["cylindric", "polyadic"])
+        if verb == "validate":
+            sp.add_argument("--mode", default="polyadic",
+                            choices=["cylindric", "polyadic"])
+        else:  # the boundary is defined on polyadic networks only
+            sp.set_defaults(mode="polyadic")
 
     p_game = sub.add_parser("game", parents=[common])
     game_sub = p_game.add_subparsers(dest="game_cmd", required=True)

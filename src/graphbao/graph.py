@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 from .bitset import iter_bits, mask_of
 
+# search_high_girth_chromatic certifies no graph above this many vertices
+SEARCH_MAX_VERTICES = 48
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -62,9 +65,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, v: int):
-        return iter_bits(self.adj[v])
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -344,7 +344,7 @@ def path_graph(m: int) -> Graph:
 
 
 def search_high_girth_chromatic(min_girth: int, min_chi: int, budget: int = 64,
-                                seed: int = 0, max_vertices: int = 48) -> Graph | None:
+                                seed: int = 0) -> Graph | None:
     """Seeded search for a graph with girth >= min_girth and chi >= min_chi.
 
     Trial stream mixes a structured candidate (odd cycle plus Mycielski
@@ -358,7 +358,7 @@ def search_high_girth_chromatic(min_girth: int, min_chi: int, budget: int = 64,
     rng = random.Random(seed)
 
     def certified(g: Graph) -> bool:
-        if g is None or g.vertex_count == 0 or g.vertex_count > max_vertices:
+        if g is None or g.vertex_count == 0 or g.vertex_count > SEARCH_MAX_VERTICES:
             return False
         girth_val = girth(g)
         if girth_val is not None and girth_val < min_girth:
@@ -368,7 +368,7 @@ def search_high_girth_chromatic(min_girth: int, min_chi: int, budget: int = 64,
 
     def boost_until(g: Graph) -> Graph:
         # Mycielski steps; each adds one to chi and caps the girth at 4.
-        while chromatic_number(g)[0] < min_chi and 2 * g.vertex_count + 1 <= max_vertices:
+        while chromatic_number(g)[0] < min_chi and 2 * g.vertex_count + 1 <= SEARCH_MAX_VERTICES:
             if min_girth > 4:
                 break
             g = mycielskian(g)

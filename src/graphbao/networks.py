@@ -84,12 +84,12 @@ def validate_network(net: UfNetwork, m: AgsModel, mode: str = "polyadic",
     conditions of the listed tuples are checked (each tuple with all of its
     cylindric neighbours and substitution images)."""
     n, labels, atoms, rel = net.n, net.labels, m.structure.atoms, m.algebra.rel
-    everything = list(itertools.product(net.nodes, repeat=n))
-    for v in everything:
-        if v not in labels:
-            return [{"kind": "missing-label", "tuple": v}]
+    # lazily, so a long node list with few labels costs no k^n tuples
+    missing = next((v for v in itertools.product(net.nodes, repeat=n) if v not in labels), None)
+    if missing is not None:
+        return [{"kind": "missing-label", "tuple": missing}]
     violations = []
-    tuples = everything if tuples is None else tuples
+    tuples = list(itertools.product(net.nodes, repeat=n)) if tuples is None else tuples
     for v in tuples:
         sim = atoms[labels[v]].sim
         if canonical_partition(v) != sim:
@@ -173,11 +173,8 @@ def ultrafilter_for_tuple(p: PatchSystem, v: tuple[int, ...], m: AgsModel) -> in
         return m.structure.index_of(atom)
     if len(image) == n - 1:
         point = p.assign[frozenset(image)]
-        k: list[int | None] = [None] * n
-        for i in range(n):
-            if is_i_distinguishing(sim, i):
-                k[i] = point
-        return m.structure.index_of(Atom(tuple(k), sim))
+        k = tuple(point if is_i_distinguishing(sim, i) else None for i in range(n))
+        return m.structure.index_of(Atom(k, sim))
     return m.structure.index_of(Atom((None,) * n, sim))
 
 
@@ -195,29 +192,25 @@ def network_from_patch(p: PatchSystem, m: AgsModel,
         raise ValueError("patch system must be total on (n-1)-subsets")
     labels: dict[tuple[int, ...], int] = {}
     injective: dict[frozenset, list[tuple[int, ...]]] = {}
-    for v in itertools.product(p.nodes, repeat=n):
-        if len(set(v)) == n:
-            injective.setdefault(frozenset(v), []).append(v)
-        else:
-            try:
+    try:
+        for v in itertools.product(p.nodes, repeat=n):
+            if len(set(v)) == n:
+                injective.setdefault(frozenset(v), []).append(v)
+            else:
                 labels[v] = ultrafilter_for_tuple(p, v, m)
-            except NoAtomError as exc:
-                raise IncoherentPatchError(str(exc)) from exc
-    preferred = preferred or []
-    for image, orbit in injective.items():
-        orbit.sort()
-        rep = orbit[0]
-        for cand in preferred:
-            if cand in orbit:
-                rep = cand
-        try:
+        for orbit in injective.values():
+            orbit.sort()
+            rep = orbit[0]
+            for cand in preferred or []:
+                if cand in orbit:
+                    rep = cand
             rep_label = ultrafilter_for_tuple(p, rep, m)
-        except NoAtomError as exc:
-            raise IncoherentPatchError(str(exc)) from exc
-        position = {node: idx for idx, node in enumerate(rep)}
-        for u in orbit:
-            sigma = tuple(position[u[i]] for i in range(n))
-            labels[u] = m.algebra.rel.subst_for(sigma)[rep_label]
+            position = {node: idx for idx, node in enumerate(rep)}
+            for u in orbit:
+                sigma = tuple(position[u[i]] for i in range(n))
+                labels[u] = m.algebra.rel.subst_for(sigma)[rep_label]
+    except NoAtomError as exc:
+        raise IncoherentPatchError(str(exc)) from exc
     net = UfNetwork(n, tuple(sorted(p.nodes)), labels)
     bad = validate_network(net, m, "polyadic")
     if bad:
@@ -236,13 +229,8 @@ def forall_moves(m: AgsModel, net: UfNetwork) -> list[GameMove]:
     c_i(a) for some atom a below x, and a witness of a witnesses x.
     """
     rel = m.algebra.rel
-    out = []
-    for v in sorted(net.labels):
-        lab = net.labels[v]
-        for i in range(m.n):
-            cls = rel.cyl_class_masks[i][rel.cyl_class_of[i][lab]]
-            out += [GameMove(v, i, a) for a in iter_bits(cls)]
-    return out
+    return [GameMove(v, i, a) for v, lab in sorted(net.labels.items()) for i in range(m.n)
+            for a in iter_bits(rel.cyl_class_masks[i][rel.cyl_class_of[i][lab]])]
 
 
 def _witnessed(net: UfNetwork, move: GameMove) -> bool:
@@ -267,37 +255,45 @@ def _sigma_getters(n: int) -> tuple:
 
 
 @functools.cache
-def _link_tables(n: int, nodes: tuple[int, ...]):
-    """The fresh tuples (those holding the last node) of a network on
-    `nodes`, sorted, and per fresh tuple t: its diagonal pattern, its
-    cylindric neighbours (i, t with entry i replaced), its images
-    (rank, t o sigma), and the other fresh tuples u with u o sigma = t."""
-    fresh = tuple(sorted(t for t in itertools.product(nodes, repeat=n) if nodes[-1] in t))
-    images = {t: [(rank, get(t)) for rank, get in enumerate(_sigma_getters(n))]
-              for t in fresh}
-    return fresh, {t: (canonical_partition(t),
-                       [(i, t[:i] + (node,) + t[i + 1:])
-                        for i in range(n) for node in nodes if node != t[i]],
-                       images[t],
-                       [(u, rank) for u in fresh if u != t
-                        for rank, w in images[u] if w == t])
-                   for t in fresh}
+def _subset_tables(n: int, nodes: tuple[int, ...]):
+    """Tables for extending a network on `nodes[:-1]` by the node z =
+    `nodes[-1]`: the sorted fresh tuples (those holding z) and a getter of
+    their labels; per coordinate i, a getter of the labels of the tuples
+    with entry i replaced by nodes[0] (each cylindric line through z holds a
+    fresh tuple); and per new maximal node subset, a tuple c listing it with
+    its diagonal pattern, cylindric neighbours (i, c with entry i replaced)
+    and images (rank, c o sigma)."""
+    z = nodes[-1]
+    if len(nodes) <= n:
+        listings = [nodes + (z,) * (n - len(nodes))]
+    else:
+        listings = [c + (z,) for c in itertools.combinations(nodes[:-1], n - 1)]
+    subsets = [(canonical_partition(c),
+                [(i, c[:i] + (node,) + c[i + 1:]) for i in range(n) for node in nodes
+                 if node != c[i]],
+                [(rank, get(c)) for rank, get in enumerate(_sigma_getters(n))])
+               for c in listings]
+    fresh = tuple(sorted(t for t in itertools.product(nodes, repeat=n) if z in t))
+    leads = tuple(itemgetter(*(t[:i] + (nodes[0],) + t[i + 1:] for t in fresh))
+                  for i in range(n))
+    return fresh, itemgetter(*fresh), leads, subsets
 
 
 def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove, witnessed: bool):
-    """Every valid network on one fresh node that witnesses the move, by
-    backtracking over the fresh tuples (w0 first, then sorted) and over
-    candidates in ascending atom index, so responses come in a fixed order.
+    """Every valid network on one fresh node that witnesses the move, in
+    ascending order of its labels on w0, then on the other fresh tuples.
 
-    The link tables depend on the node tuple alone and are cached.  A
-    tuple's candidates are its pattern's atom mask (or the demanded atom at
-    w0) cut by the class mask of each labelled cylindric neighbour and by
-    the image of each labelled fresh tuple mapping onto it; only its own
-    images are then checked one candidate at a time.  Each result is
-    validated on its fresh tuples only.  That is the full check, since the
-    parent is valid: a tuple without the fresh node has no image with it,
-    and the cylindric relation is symmetric, so every violation shows up
-    among the conditions of some fresh tuple.
+    In polyadic mode a tuple is c o sigma for a tuple c listing a maximal
+    node subset that holds its image, so its label is table[sigma][label
+    of c]: the search picks one label per new maximal subset, from c's
+    pattern mask cut by the classes of c's labelled cylindric neighbours,
+    and derives the labels of c's images, backtracking on a clash.  The
+    demanded atom is pre-assigned at w0 unless an old tuple witnesses the
+    move.  A labelling is kept when every cylindric line through the fresh
+    node is one class; each kept network is validated on its fresh tuples,
+    which is the full check because the parent is valid (a tuple without
+    the fresh node has no image with it, and the cylindric relation is
+    symmetric).
     """
     n = m.n
     v, i, a = move.v, move.i, move.atom
@@ -306,42 +302,46 @@ def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove, witnessed: 
     # the demand must be witnessed by an old tuple or by the fresh one
     if not witnessed and m.structure.atoms[a].sim != canonical_partition(w0):
         return
-    fresh, links = _link_tables(n, nodes2)
+    fresh, fresh_labels, leads, subsets = _subset_tables(n, nodes2)
     order = [w0] + [t for t in fresh if t != w0]
+    key = itemgetter(*order)
     rel = m.algebra.rel
     class_of, class_masks, tables = rel.cyl_class_of, rel.cyl_class_masks, rel.subst_tables
-    assigned = dict(net.labels)
+    assigned = dict(net.labels) if witnessed else {**net.labels, w0: a}
+    keys = []
 
-    def pool(t, pattern, cyl, in_links):
-        mask = 1 << a if t == w0 and not witnessed else m.pattern_masks.get(pattern, 0)
-        for i2, t2 in cyl:
-            if t2 in assigned:
-                mask &= class_masks[i2][class_of[i2][assigned[t2]]]
-        for u, rank in in_links:
-            if u in assigned:
-                mask &= 1 << tables[rank][assigned[u]]
-        return mask
-
-    def assign(pos):
-        if pos == len(order):
-            net2 = UfNetwork(n, nodes2, dict(assigned))
-            bad = validate_network(net2, m, "polyadic", tuples=fresh)
-            if bad:
-                raise RuntimeError(f"search produced an invalid network: {bad[0]}")
-            yield net2
+    def label(pos):
+        if pos == len(subsets):
+            labels = fresh_labels(assigned)
+            if all([*map(cls.__getitem__, labels)] == [*map(cls.__getitem__, lead(assigned))]
+                   for cls, lead in zip(class_of, leads)):
+                keys.append(key(assigned))
             return
-        t = order[pos]
-        pattern, cyl, images, in_links = links[t]
-        for cand in iter_bits(pool(t, pattern, cyl, in_links)):
-            assigned[t] = cand
-            for rank, u in images:  # each labelled image, t itself included
-                if u in assigned and tables[rank][cand] != assigned[u]:
-                    break
-            else:
-                yield from assign(pos + 1)
-        assigned.pop(t, None)
+        pattern, cyl, images = subsets[pos]
+        mask = m.pattern_masks.get(pattern, 0)
+        for i2, u in cyl:
+            if u in assigned:
+                mask &= class_masks[i2][class_of[i2][assigned[u]]]
+        # images labelled before the pick are only compared, w0 first: it
+        # rejects most candidates; the others are written, then cleared
+        labelled = sorted(((tables[rank], u) for rank, u in images if u in assigned),
+                          key=lambda image: image[1] != w0)
+        free = [(tables[rank], u) for rank, u in images if u not in assigned]
+        for x in iter_bits(mask):
+            if any(table[x] != assigned[u] for table, u in labelled):
+                continue
+            if all(assigned.setdefault(u, table[x]) == table[x] for table, u in free):
+                label(pos + 1)
+            for _, u in free:
+                assigned.pop(u, None)
 
-    yield from assign(0)
+    label(0)
+    for row in sorted(keys):
+        net2 = UfNetwork(n, nodes2, {**net.labels, **dict(zip(order, row))})
+        bad = validate_network(net2, m, "polyadic", tuples=fresh)
+        if bad:
+            raise RuntimeError(f"search produced an invalid network: {bad[0]}")
+        yield net2
 
 
 class _BudgetExceeded(Exception):
@@ -362,10 +362,9 @@ def exists_survives(m: AgsModel, depth: int, strategy: str = "exhaustive",
     exhaustive: ground truth at the given depth by backtracking over all
     challenger moves and all single-node responses, in a fixed order, so the
     verdict, trace and visit count are deterministic.  Responses come from
-    _extension_networks: link tables cached per node tuple, candidates
-    filtered by class masks, and each extension validated on its fresh
-    tuples, which is equivalent to the full check.  paper: follow the
-    two-step ultrafilter/patch construction; on finite models its second
+    _extension_networks, which labels one tuple per new maximal node subset
+    and derives the rest through the substitution tables.  paper: follow
+    the two-step ultrafilter/patch construction; on finite models its second
     step eventually demands an ultrafilter of the set sort free of
     independent sets, which no principal ultrafilter is, and that failure
     is reported rather than masked.
@@ -440,10 +439,8 @@ def paper_response(m: AgsModel, net: UfNetwork, move: GameMove,
             continue
         point = m.proj_point(a, j)
         assert point is not None
-        if others in assign:
-            assert assign[others] == point, "patch disagrees with the old boundary"
-        else:
-            assign[others] = point
+        if assign.setdefault(others, point) != point:
+            raise AssertionError("patch disagrees with the old boundary")
     remaining = [c for c in itertools.combinations(nodes2, n - 1)
                  if frozenset(c) not in assign]
     if remaining:
@@ -453,8 +450,8 @@ def paper_response(m: AgsModel, net: UfNetwork, move: GameMove,
             f"finite graph; unpatched subsets: {sorted(map(sorted, remaining))}")
     net2 = network_from_patch(PatchSystem(nodes2, assign), m, preferred=[w0])
     assert net2.labels[w0] == a
-    for t, lab in net.labels.items():
-        assert net2.labels[t] == lab, "extension must preserve old labels"
+    assert all(net2.labels[t] == lab for t, lab in net.labels.items()), \
+        "extension must preserve old labels"
     return net2
 
 
@@ -514,8 +511,10 @@ def network_to_json(net: UfNetwork) -> dict:
 def network_from_json(data: dict, n: int, natoms: int) -> UfNetwork:
     if (not isinstance(data, dict) or not isinstance(data.get("labels"), dict)
             or not isinstance(data.get("nodes"), list)
-            or any(type(v) is not int for v in data["nodes"])):
-        raise ValueError("network JSON needs a 'nodes' list of integers and a 'labels' object")
+            or any(type(v) is not int for v in data["nodes"])
+            or len(set(data["nodes"])) < len(data["nodes"])):
+        raise ValueError("network JSON needs a 'nodes' list of distinct integers "
+                         "and a 'labels' object")
     labels = {}
     for key, value in data["labels"].items():
         t = tuple(int(part) for part in key.split(","))

@@ -98,12 +98,7 @@ class TestComplexAlgebra:
             for sim in all_partitions(3):
                 element = algebra.d_partition(sim)
                 if max(sim) + 1 < 2:
-                    assert algebra.is_atom(element)
-
-    def test_dims(self, a_k1):
-        assert a_k1.dims(0) == frozenset()
-        assert a_k1.dims(a_k1.top) == frozenset()
-        assert a_k1.dims(a_k1.d(0, 1)) == frozenset({0, 1})
+                    assert element and element & (element - 1) == 0
 
 
 DIFFERENTIAL_GRAPHS = {"K1": complete_graph(1), "K2": complete_graph(2),
@@ -404,13 +399,12 @@ class TestGeneratedSubalgebra:
         with pytest.raises(SizeLimitError):
             a_k2.generated_subalgebra([1 << 3, 1 << 100, 1 << 200], bound=16)
 
-    def test_closure_supports_dims_filter(self, a_k1, k1_model):
-        # lifts of vertex sets never move under their own cylindrification
+    def test_lift_is_fixed_by_its_own_cylindrification(self, a_k1, k1_model):
         m = k1_model
         for B in range(1 << m.vertex_count):
             for i in range(3):
                 lifted = m.lift(i, B)
-                assert i not in a_k1.dims(lifted)
+                assert a_k1.c(i, lifted) == lifted
 
 
 class TestSampledBias:

@@ -190,6 +190,11 @@ class TestNetAndGameVerbs:
         data = json.loads(out)
         assert code == 0 and data["patches"]
         assert "coherent" in data and "theta_margin_2n" in data
+        # the boundary is defined on polyadic networks only: no --mode
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["net", "boundary", str(net_file), "--graph", "K1",
+                      "--mode", "cylindric"])
+        assert exc.value.code == 2
 
     def test_net_validate_rejects_corrupt(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "game", "run", "--graph", "K1",
@@ -240,7 +245,8 @@ class TestNetAndGameVerbs:
         for document in ({"n": 3, "nodes": 5, "labels": {"0,0,0": 0}},
                          [{"0,0,0": 0}],
                          {"n": 3, "nodes": [0], "labels": [0]},
-                         {"n": 3, "nodes": [0.5], "labels": {"0,0,0": 0}}):
+                         {"n": 3, "nodes": [0.5], "labels": {"0,0,0": 0}},
+                         {"n": 3, "nodes": [0, 0, 0, 0], "labels": {"0,0,0": 0}}):
             net_file = tmp_path / "net.json"
             net_file.write_text(json.dumps(document))
             code, out, err = run_cli(capsys, "net", "validate", "--graph", "K1",

@@ -237,6 +237,22 @@ class TestExistsSurvives:
             assert len(engine) == len(set(engine))
             assert set(engine) == {n.key() for n in oracle}
 
+    def test_response_sets_from_three_nodes_match_pruned_oracle(self, k1_model):
+        # 4-node extensions: three new maximal node subsets, which overlap
+        collected = []
+        exists_survives(k1_model, 2, collect=collected)
+        net = next(net for net in collected if len(net.nodes) == 3)
+        moves = forall_moves(k1_model, net)
+        assert len(moves) == 648
+        in_order = []
+        for move in moves[::16]:
+            engine = list(exists_responses(k1_model, net, move))
+            oracle = pruned_game_responses(k1_model, net, (move.v, move.i, move.atom))
+            assert {n.key() for n in engine} == {n.key() for n in oracle}
+            in_order += engine
+        assert len(in_order) == 519
+        assert self.digest(in_order) == "84f35c848ae091c3"
+
     @staticmethod
     def digest(networks_in_order):
         """Pins the responses and the order they were found in."""
