@@ -93,6 +93,8 @@ def load_config(args) -> dict:
     if path:
         with open(path) as handle:
             overrides = json.load(handle)
+        if not isinstance(overrides, dict):
+            raise ValueError(f"config file {path!r} must hold a JSON object")
         for key in overrides:
             if key not in DEFAULTS:
                 raise ValueError(f"unknown config field {key!r}")
@@ -499,7 +501,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except (SizeLimitError, InfeasibleError, FileNotFoundError, ValueError,
-            KeyError, json.JSONDecodeError) as exc:
+            equations.UnboundVariableError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -80,39 +80,42 @@ def initial_network(m: AgsModel) -> UfNetwork:
 def validate_network(net: UfNetwork, m: AgsModel, mode: str = "polyadic",
                      tuples=None) -> list[dict]:
     """Exhaustive check of the diagonal, cylindric and (optionally) polyadic
-    conditions; returns the list of violations.  With `tuples`, only the
-    conditions of the listed tuples are checked (each tuple with all of its
-    cylindric neighbours and substitution images)."""
-    n, labels, atoms, rel = net.n, net.labels, m.structure.atoms, m.algebra.rel
+    conditions, each one comparison of two vectors; returns the violations.
+    With `tuples`, only the conditions of the listed tuples are checked (each
+    tuple with all of its cylindric neighbours and substitution images)."""
+    n, nodes, labels, atoms, rel = net.n, net.nodes, net.labels, m.structure.atoms, m.algebra.rel
     # lazily, so a long node list with few labels costs no k^n tuples
-    missing = next((v for v in itertools.product(net.nodes, repeat=n) if v not in labels), None)
+    missing = next((v for v in itertools.product(nodes, repeat=n) if v not in labels), None)
     if missing is not None:
         return [{"kind": "missing-label", "tuple": missing}]
-    violations = []
-    tuples = list(itertools.product(net.nodes, repeat=n)) if tuples is None else tuples
-    for v in tuples:
-        sim = atoms[labels[v]].sim
-        if canonical_partition(v) != sim:
-            violations += [{"kind": "diagonal", "tuple": v, "i": i, "j": j}
-                           for i in range(n) for j in range(n)
-                           if (sim[i] == sim[j]) != (v[i] == v[j])]
-    for v in tuples:
-        lab = labels[v]
-        for i, class_of in enumerate(rel.cyl_class_of):
-            for node in net.nodes:
-                w = v[:i] + (node,) + v[i + 1:]
-                if class_of[lab] != class_of[labels[w]]:
-                    violations.append({"kind": "cylindric", "tuple": v, "i": i,
-                                       "other": w})
+    tuples, get_every, get_checked, patterns, neighbours, images = _check_getters(
+        n, nodes, tuples if tuples is None else tuple(tuples))
+    every = get_every(labels)
+    labs = get_checked(every)
+    sims = tuple(atoms[lab].sim for lab in labs)
+    violations = [{"kind": "diagonal", "tuple": tuples[pos], "i": i, "j": j}
+                  for pos in _differ(sims, patterns) for i in range(n) for j in range(n)
+                  if (sims[pos][i] == sims[pos][j]) != (tuples[pos][i] == tuples[pos][j])]
+    bad = []
+    for i, (classes, gets) in enumerate(zip(map(_getter(every), rel.cyl_class_of), neighbours)):
+        mine = get_checked(classes)
+        bad += [(pos, i, k) for k, get in enumerate(gets) for pos in _differ(mine, get(classes))]
+    violations += [{"kind": "cylindric", "tuple": tuples[pos], "i": i,
+                    "other": tuples[pos][:i] + (nodes[k],) + tuples[pos][i + 1:]}
+                   for pos, i, k in sorted(bad)]
     if mode == "polyadic":
-        for v in tuples:
-            lab = labels[v]
-            for sigma, get, table in zip(all_sigmas(n), _sigma_getters(n),
-                                         rel.subst_tables):
-                if labels[get(v)] != table[lab]:
-                    violations.append({"kind": "polyadic", "tuple": v,
-                                       "sigma": sigma})
+        want = tuple(map(_getter(labs), rel.subst_tables))  # per sigma, table[label of v]
+        got = tuple(get(every) for get in images)  # per sigma, the label of v o sigma
+        bad = sorted((pos, rank) for rank in _differ(want, got)
+                     for pos in _differ(want[rank], got[rank]))
+        violations += [{"kind": "polyadic", "tuple": tuples[pos], "sigma": all_sigmas(n)[rank]}
+                       for pos, rank in bad]
     return violations
+
+
+def _differ(xs: tuple, ys: tuple) -> list[int]:
+    """Positions where two equally long tuples differ."""
+    return [] if xs == ys else [pos for pos, (x, y) in enumerate(zip(xs, ys)) if x != y]
 
 
 def boundary(net: UfNetwork, m: AgsModel) -> PatchSystem:
@@ -248,10 +251,25 @@ def exists_responses(m: AgsModel, net: UfNetwork, move: GameMove):
     yield from _extension_networks(m, net, move, witnessed)
 
 
+def _getter(keys):
+    """itemgetter(*keys), but a tuple also for zero keys and one key."""
+    return itemgetter(*keys) if len(keys) > 1 else lambda seq: tuple(seq[k] for k in keys)
+
+
 @functools.cache
-def _sigma_getters(n: int) -> tuple:
-    """One itemgetter per map, in all_sigmas order: getter(v) is v o sigma."""
-    return tuple(itemgetter(*sigma) for sigma in all_sigmas(n))
+def _check_getters(n: int, nodes: tuple[int, ...], tuples: tuple | None):
+    """validate_network's tables: the checked tuples (nodes^n if None), a getter of
+    the labels of nodes^n and, into that vector, getters of the checked tuples, of
+    their neighbours per (i, node) and of their images per sigma; their patterns."""
+    every = tuple(itertools.product(nodes, repeat=n))
+    tuples = every if tuples is None else tuples
+    index = {v: pos for pos, v in enumerate(every)}
+    neighbours = tuple(tuple(_getter([index[v[:i] + (node,) + v[i + 1:]] for v in tuples])
+                             for node in nodes) for i in range(n))
+    images = tuple(_getter([index[tuple(v[s] for s in sigma)] for v in tuples])
+                   for sigma in all_sigmas(n))
+    return (tuples, _getter(every), _getter([index[v] for v in tuples]),
+            tuple(map(canonical_partition, tuples)), neighbours, images)
 
 
 @functools.cache
@@ -271,7 +289,7 @@ def _subset_tables(n: int, nodes: tuple[int, ...]):
     subsets = [(canonical_partition(c),
                 [(i, c[:i] + (node,) + c[i + 1:]) for i in range(n) for node in nodes
                  if node != c[i]],
-                [(rank, get(c)) for rank, get in enumerate(_sigma_getters(n))])
+                [(rank, tuple(c[s] for s in sigma)) for rank, sigma in enumerate(all_sigmas(n))])
                for c in listings]
     fresh = tuple(sorted(t for t in itertools.product(nodes, repeat=n) if z in t))
     leads = tuple(itemgetter(*(t[:i] + (nodes[0],) + t[i + 1:] for t in fresh))

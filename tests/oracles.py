@@ -11,7 +11,7 @@ from graphbao.bao import FiniteBao, RelStructure
 from graphbao.bitset import iter_bits
 from graphbao.errors import InfeasibleError, SizeLimitError
 from graphbao.graph import Graph, inflate
-from graphbao.networks import UfNetwork, validate_network
+from graphbao.networks import UfNetwork
 from graphbao.report import Report
 
 
@@ -85,6 +85,40 @@ def naive_game_moves(m, net):
     return moves
 
 
+def validate_network_per_tuple(net, m, mode: str = "polyadic", tuples=None) -> list[dict]:
+    """Reference for networks.validate_network: the same violations in the
+    same order, found by comparing one tuple and one neighbour or image at
+    a time."""
+    n, labels, atoms, rel = net.n, net.labels, m.structure.atoms, m.algebra.rel
+    missing = next((v for v in itertools.product(net.nodes, repeat=n) if v not in labels), None)
+    if missing is not None:
+        return [{"kind": "missing-label", "tuple": missing}]
+    violations = []
+    tuples = list(itertools.product(net.nodes, repeat=n)) if tuples is None else tuples
+    for v in tuples:
+        sim = atoms[labels[v]].sim
+        if _canon(v) != sim:
+            violations += [{"kind": "diagonal", "tuple": v, "i": i, "j": j}
+                           for i in range(n) for j in range(n)
+                           if (sim[i] == sim[j]) != (v[i] == v[j])]
+    for v in tuples:
+        lab = labels[v]
+        for i, class_of in enumerate(rel.cyl_class_of):
+            for node in net.nodes:
+                w = v[:i] + (node,) + v[i + 1:]
+                if class_of[lab] != class_of[labels[w]]:
+                    violations.append({"kind": "cylindric", "tuple": v, "i": i,
+                                       "other": w})
+    if mode == "polyadic":
+        for v in tuples:
+            lab = labels[v]
+            for sigma, table in zip(all_sigmas(n), rel.subst_tables):
+                if labels[tuple(v[s] for s in sigma)] != table[lab]:
+                    violations.append({"kind": "polyadic", "tuple": v,
+                                       "sigma": sigma})
+    return violations
+
+
 def naive_game_responses(m, net, move):
     """Unpruned enumeration: every labeling of the new tuples over atoms of
     the matching diagonal pattern, filtered by full validation."""
@@ -110,7 +144,7 @@ def naive_game_responses(m, net, move):
         if not witnessed:
             continue
         candidate = UfNetwork(n, nodes2, labels)
-        if not validate_network(candidate, m, "polyadic"):
+        if not validate_network_per_tuple(candidate, m):
             out.append(candidate)
     return out
 
@@ -153,7 +187,7 @@ def pruned_game_responses(m, net, move):
         if pos == len(new_tuples):
             witnessed = labels[w0] == a or any(net.labels[w] == a for w in witnesses)
             candidate = UfNetwork(n, nodes2, dict(labels))
-            if witnessed and not validate_network(candidate, m, "polyadic"):
+            if witnessed and not validate_network_per_tuple(candidate, m):
                 out.append(candidate)
             return
         t = new_tuples[pos]

@@ -354,6 +354,14 @@ class TestConfigAndDeterminism:
                                "--config", str(cfg))
         assert code == 2 and "bogus" in err
 
+    @pytest.mark.parametrize("document", [[[1]], 5], ids=["nested-list", "number"])
+    def test_config_that_is_no_object_is_usage_error(self, capsys, tmp_path, document):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "graph", "chi", "K1", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "JSON object" in err and err.count("\n") == 1
+
     def test_dimension_gate(self, capsys):
         code, _, err = run_cli(capsys, "ags", "theta", "--graph", "K1", "--k", "1",
                                "--n", "7")
@@ -399,6 +407,18 @@ class TestUsageErrors:
             code, out, err = run_cli(capsys, "graph", "chi", str(graph_file))
             assert code == 2 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_internal_key_error_is_no_usage_error(self, capsys, tmp_path, monkeypatch):
+        # only an unbound equation variable is a KeyError caused by user input
+        net_file = tmp_path / "net.json"
+        net_file.write_text(json.dumps({"n": 3, "nodes": [0], "labels": {"0,0,0": 0}}))
+
+        def broken(*args, **kwargs):
+            raise KeyError((0, 0, 0))
+
+        monkeypatch.setattr(cli.networks, "validate_network", broken)
+        with pytest.raises(KeyError):
+            cli.main(["net", "validate", str(net_file), "--graph", "K1"])
 
     def test_closed_stdout_ends_without_traceback(self, tmp_path):
         import os

@@ -14,7 +14,8 @@ from graphbao.networks import (GameMove, PatchSystem, UfNetwork, boundary,
                                patch_system_coherent, sample_play,
                                ultrafilter_for_tuple, validate_network)
 from oracles import (coherent_via_atom_search, naive_game_moves,
-                     naive_game_responses, naive_survives, pruned_game_responses)
+                     naive_game_responses, naive_survives, pruned_game_responses,
+                     validate_network_per_tuple)
 
 
 class TestValidate:
@@ -38,8 +39,11 @@ class TestValidate:
         extensions = [net for net in collected if len(net.nodes) == 3][:10]
         assert extensions
         natoms = k1_model.algebra.natoms
-        for net in extensions:
-            fresh = sorted(t for t in net.labels if 2 in t)
+        deeper = []
+        exists_survives(k1_model, 3, max_visits=8, collect=deeper)
+        four_node = next(net for net in deeper if len(net.nodes) == 4)
+        for net in extensions + [four_node]:
+            fresh = sorted(t for t in net.labels if max(net.nodes) in t)
             assert validate_network(net, k1_model, "polyadic", tuples=fresh) == \
                 validate_network(net, k1_model, "polyadic") == []
             for t in fresh:
@@ -50,6 +54,47 @@ class TestValidate:
                 full = validate_network(bad, k1_model, "polyadic")
                 assert any(v["tuple"] == t for v in partial)
                 assert partial == [v for v in full if v["tuple"] in fresh]
+            for bad in self.single_label_changes(net, k1_model):
+                self.assert_matches_reference(bad, k1_model, tuples=fresh)
+
+    @staticmethod
+    def single_label_changes(net, m):
+        """The network with one label replaced, for every tuple: by the next
+        atom index, and by the next atom of the same diagonal pattern (which
+        only the cylindric and polyadic conditions can reject); also with
+        one label dropped and with its node list reversed."""
+        natoms = m.algebra.natoms
+        for t, lab in net.labels.items():
+            same_pattern = [a for a in range(natoms)
+                            if m.structure.atoms[a].sim == m.structure.atoms[lab].sim]
+            for other in ((lab + 1) % natoms,
+                          same_pattern[(same_pattern.index(lab) + 1) % len(same_pattern)]):
+                yield UfNetwork(net.n, net.nodes, {**net.labels, t: other})
+        dropped = dict(net.labels)
+        dropped.pop(max(dropped))
+        yield UfNetwork(net.n, net.nodes, dropped)
+        yield UfNetwork(net.n, net.nodes[::-1], net.labels)
+
+    @staticmethod
+    def assert_matches_reference(net, m, tuples):
+        """The batched checker returns the per-tuple reference's violations
+        in the same order, in both modes, on all tuples and on `tuples`."""
+        for mode in ("polyadic", "cylindric"):
+            assert validate_network(net, m, mode) == validate_network_per_tuple(net, m, mode)
+            assert validate_network(net, m, mode, tuples=tuples) == \
+                validate_network_per_tuple(net, m, mode, tuples=tuples)
+
+    def test_small_networks_match_reference(self, k1_model):
+        empty = UfNetwork(3, (), {})
+        assert validate_network(empty, k1_model) == []
+        self.assert_matches_reference(empty, k1_model, tuples=[])
+        one = initial_network(k1_model)
+        changes = [UfNetwork(3, one.nodes, {(0, 0, 0): a})
+                   for a in range(k1_model.algebra.natoms)]
+        assert sum(bool(validate_network(net, k1_model)) for net in changes) == \
+            k1_model.algebra.natoms - 1
+        for net in changes + [UfNetwork(3, (0,), {})]:
+            self.assert_matches_reference(net, k1_model, tuples=[(0, 0, 0)])
 
     def test_engine_networks_replay_valid(self, k1_model):
         collected = []
