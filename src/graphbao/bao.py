@@ -259,39 +259,39 @@ class FiniteBao:
     def generated_subalgebra(self, gens, bound: int = 4096) -> list[int]:
         """Least subuniverse containing gens, closed under the signature.
 
-        Closures of even single atoms routinely blow past any usable bound
-        (the boolean layer generates the power set of the reachable regions);
-        callers should be prepared to fall back to fewer generators.
+        c_i and s_sigma are completely additive, so the subuniverse is the
+        set of unions of the blocks of one partition of the atoms: the
+        coarsest that splits along every generator, every diagonal and the
+        operator image of each of its own blocks (Henkin-Monk-Tarski,
+        Cylindric Algebras I).  The blocks start as {top} and only split, so
+        SizeLimitError is raised as soon as 2**blocks exceeds bound.
         """
-        import heapq
+        sigmas = all_sigmas(self.n) if "s" in self.ops else ()
+        blocks = {self.top} - {0}
+        todo = list(blocks)
 
-        elems = {0, self.top}
+        def refine(masks) -> None:
+            for m in masks:
+                for b in [b for b in blocks if b & m and b & ~m]:
+                    pieces = (b & m, b & ~m)
+                    blocks.remove(b)
+                    blocks.update(pieces)
+                    todo.extend(pieces)
+                if 2 ** len(blocks) > bound:
+                    raise SizeLimitError(f"subalgebra exceeds bound {bound}")
+
+        splitters = list(gens)
         if "d" in self.ops:
-            for i in range(self.n):
-                for j in range(self.n):
-                    elems.add(self.rel.diag_masks[i][j])
-        elems.update(gens)
-        processed: list[int] = []
-        queue = sorted(elems)
-        heapq.heapify(queue)
-        while queue:
-            x = heapq.heappop(queue)
-            new = [self.neg(x)]
-            for i in range(self.n):
-                new.append(self.c(i, x))
-            if "s" in self.ops:
-                for sigma in all_sigmas(self.n):
-                    new.append(self.s(sigma, x))
-            for y in processed:
-                new.append(x | y)
-                new.append(x & y)
-            processed.append(x)
-            for y in new:
-                if y not in elems:
-                    elems.add(y)
-                    heapq.heappush(queue, y)
-                    if len(elems) > bound:
-                        raise SizeLimitError(f"subalgebra exceeds bound {bound}")
+            splitters += [m for row in self.rel.diag_masks for m in row]
+        refine(splitters)
+        while todo:
+            b = todo.pop()
+            if b in blocks:
+                refine([self.c(i, b) for i in range(self.n)]
+                       + [self.s(sigma, b) for sigma in sigmas])
+        elems = [0]
+        for b in blocks:
+            elems += [e | b for e in elems]
         return sorted(elems)
 
 

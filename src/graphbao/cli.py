@@ -30,6 +30,7 @@ from .report import Report
 
 CONFIG_ENV = "GRAPHBAO_CONFIG"
 EXIT_BROKEN_PIPE = 141
+OUTPUT_FORMATS = ("json", "text")
 
 DEFAULTS = {
     "n": 3,
@@ -112,6 +113,8 @@ def load_config(args) -> dict:
         raise ValueError("bounds must be positive")
     if config["depth"] < 0:
         raise ValueError(f"depth must be a non-negative integer, not {config['depth']!r}")
+    if config["output"] not in OUTPUT_FORMATS:
+        raise ValueError(f"output must be one of {OUTPUT_FORMATS}, not {config['output']!r}")
     return config
 
 
@@ -391,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--atom-bound", dest="atom_bound", type=int)
     common.add_argument("--samples", dest="sample_count", type=int)
     common.add_argument("--depth", type=int)
-    common.add_argument("--output", choices=["json", "text"])
+    common.add_argument("--output", choices=OUTPUT_FORMATS)
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -31,6 +31,8 @@ VARIABLE_NAMES = {"x": 0, "y": 1, "z": 2}
 # and at most this many elements, so a two-variable scan stays under 10**5
 SUBALGEBRA_GENERATORS = 3
 SUBALGEBRA_CAP = 316
+# random elements check_discriminator tries beyond its exhaustive atom check
+DISCRIMINATOR_SAMPLES = 200
 
 
 class UnboundVariableError(KeyError):
@@ -101,29 +103,47 @@ def equation_holds_at(algebra: FiniteBao, eq: Equation, env) -> bool:
 # parsing ------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
+# deepest term an equation file may build: building and evaluating a term
+# recurse once per level, and each argument of + or * adds a level
+MAX_TERM_DEPTH = 64
 
 
-def _parse_sexpr(tokens: list[str], pos: int):
-    tok = tokens[pos]
-    if tok == "(":
-        out = []
-        pos += 1
-        while tokens[pos] != ")":
-            node, pos = _parse_sexpr(tokens, pos)
-            out.append(node)
-        return out, pos + 1
-    if tok == ")":
+def _read_sexpr(text: str):
+    """The one s-expression in text, as a token string or nested lists."""
+    stack: list[list] = [[]]
+    for tok in _TOKEN.findall(text):
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise ValueError("unbalanced parenthesis")
+            stack[-2].append(stack.pop())
+        else:
+            stack[-1].append(tok)
+    if len(stack) > 1:
         raise ValueError("unbalanced parenthesis")
-    return tok, pos + 1
+    if len(stack[0]) != 1:
+        raise ValueError(f"expected one term, found {len(stack[0])}")
+    return stack[0][0]
 
 
-def _index_value(symbol, assignment: dict[str, int]) -> int:
-    if isinstance(symbol, str) and symbol in assignment:
+def _index_value(symbol, assignment: dict[str, int], n: int) -> int:
+    if not isinstance(symbol, str):
+        raise ValueError("an index must be a number or an index variable")
+    if symbol in assignment:
         return assignment[symbol]
-    return int(symbol)
+    try:
+        value = int(symbol)
+    except ValueError:
+        raise ValueError(f"bad index {symbol!r}") from None
+    if not 0 <= value < n:
+        raise ValueError(f"index {value} out of range for dimension {n}")
+    return value
 
 
-def _build_term(node, assignment: dict[str, int]) -> tuple:
+def _build_term(node, assignment: dict[str, int], n: int, depth: int = 1) -> tuple:
+    if depth > MAX_TERM_DEPTH:
+        raise ValueError(f"term nests deeper than {MAX_TERM_DEPTH}")
     if isinstance(node, str):
         if node in VARIABLE_NAMES:
             return ("var", VARIABLE_NAMES[node])
@@ -132,55 +152,68 @@ def _build_term(node, assignment: dict[str, int]) -> tuple:
         if node == "1":
             return ("one",)
         raise ValueError(f"unknown atom term {node!r}")
-    head = node[0]
-    if head == "+":
-        term = _build_term(node[1], assignment)
-        for part in node[2:]:
-            term = ("join", term, _build_term(part, assignment))
+    head, args = (node[0], node[1:]) if node else ("()", [])
+    if head in ("+", "*") and args:
+        op, deeper = ("join" if head == "+" else "meet"), depth + len(args)
+        term = _build_term(args[0], assignment, n, deeper)
+        for part in args[1:]:
+            term = (op, term, _build_term(part, assignment, n, deeper))
         return term
-    if head == "*":
-        term = _build_term(node[1], assignment)
-        for part in node[2:]:
-            term = ("meet", term, _build_term(part, assignment))
-        return term
-    if head == "-":
-        return ("neg", _build_term(node[1], assignment))
-    if head == "c":
-        return ("cyl", _index_value(node[1], assignment), _build_term(node[2], assignment))
-    if head == "d":
-        return ("diag", _index_value(node[1], assignment), _index_value(node[2], assignment))
-    raise ValueError(f"unknown operator {head!r}")
+    if head == "-" and len(args) == 1:
+        return ("neg", _build_term(args[0], assignment, n, depth + 1))
+    if head == "c" and len(args) == 2:
+        return ("cyl", _index_value(args[0], assignment, n),
+                _build_term(args[1], assignment, n, depth + 1))
+    if head == "d" and len(args) == 2:
+        return ("diag", _index_value(args[0], assignment, n),
+                _index_value(args[1], assignment, n))
+    name = repr(head) if isinstance(head, str) else "(...)"
+    raise ValueError(f"unknown operator {name} with {len(args)} arguments")
+
+
+def _parse_schema(line: str, n: int) -> list[Equation]:
+    head, colon, body = line.partition(":")
+    if not colon:
+        raise ValueError("missing ':'")
+    head_parts = head.split("|")
+    name_and_vars = head_parts[0].split()
+    if not name_and_vars:
+        raise ValueError("missing equation name")
+    if len(name_and_vars) > 1 and name_and_vars[1] != "forall":
+        raise ValueError("bad header")
+    name, idx_vars = name_and_vars[0], name_and_vars[2:]
+    guards = [guard.partition("!=") for guard in
+              (head_parts[1].split() if len(head_parts) > 1 else [])]
+    if not all(sep for _, sep, _ in guards):
+        raise ValueError("a guard must read i!=j")
+    node = _read_sexpr(body)
+    if not (isinstance(node, list) and len(node) == 3 and node[0] == "="):
+        raise ValueError("equation body must be (= lhs rhs)")
+    out = []
+    for values in itertools.product(range(n), repeat=len(idx_vars)):
+        assignment = dict(zip(idx_vars, values))
+        if any(_index_value(a, assignment, n) == _index_value(b, assignment, n)
+               for a, _, b in guards):
+            continue
+        suffix = "".join(f"[{v}={assignment[v]}]" for v in idx_vars)
+        out.append(Equation(name + suffix, _build_term(node[1], assignment, n),
+                            _build_term(node[2], assignment, n)))
+    return out
 
 
 def parse_equations(text: str, n: int) -> list[Equation]:
-    """Parse an equation file and instantiate its schemas for dimension n."""
+    """Parse an equation file and instantiate its schemas for dimension n.
+
+    Raises ValueError, naming the offending line, on any malformed schema.
+    """
     out: list[Equation] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, body = line.partition(":")
-        if not body:
-            raise ValueError(f"missing ':' in equation line {raw!r}")
-        head_parts = head.split("|")
-        name_and_vars = head_parts[0].split()
-        name = name_and_vars[0]
-        idx_vars = name_and_vars[2:] if len(name_and_vars) > 1 else []
-        if len(name_and_vars) > 1 and name_and_vars[1] != "forall":
-            raise ValueError(f"bad header in {raw!r}")
-        guards = head_parts[1].split() if len(head_parts) > 1 else []
-        node, pos = _parse_sexpr(_TOKEN.findall(body), 0)
-        if not (isinstance(node, list) and node[0] == "=" and len(node) == 3):
-            raise ValueError(f"equation body must be (= lhs rhs): {raw!r}")
-        for values in itertools.product(range(n), repeat=len(idx_vars)):
-            assignment = dict(zip(idx_vars, values))
-            if any(_index_value(a, assignment) == _index_value(b, assignment)
-                   for a, b in (guard.split("!=") for guard in guards)):
-                continue
-            suffix = "".join(f"[{v}={assignment[v]}]" for v in idx_vars)
-            out.append(Equation(name + suffix,
-                                _build_term(node[1], assignment),
-                                _build_term(node[2], assignment)))
+        if line:
+            try:
+                out += _parse_schema(line, n)
+            except ValueError as exc:
+                raise ValueError(f"{exc} in equation line {raw!r}") from None
     return out
 
 
@@ -271,7 +304,9 @@ def pick_subalgebra(algebra: FiniteBao, rng: random.Random) -> list[int]:
 
     Tries SUBALGEBRA_GENERATORS random atoms, then one fewer at a time down
     to the constants-only subalgebra, until a closure stays within
-    SUBALGEBRA_CAP elements.
+    SUBALGEBRA_CAP elements.  Each closure is the block partition of
+    FiniteBao.generated_subalgebra, so a try that overflows stops at the
+    ninth block (2**9 > SUBALGEBRA_CAP) and enumerates no element.
     """
     for count in range(SUBALGEBRA_GENERATORS, -1, -1):
         gens = [1 << rng.randrange(algebra.natoms) for _ in range(count)]
@@ -324,7 +359,7 @@ def check_pea_axioms(algebra: FiniteBao, seed: int = 1, samples: int = 1000) -> 
     return check_axiom_suite(algebra, pea_axioms(algebra.n), seed, max(50, samples // 30))
 
 
-def check_discriminator(algebra: FiniteBao, seed: int = 1, samples: int = 200) -> "Report":
+def check_discriminator(algebra: FiniteBao, seed: int = 1) -> "Report":
     """d(0) = 0 and d(a) = 1 for every atom; sampled nonzero elements too.
 
     Atom-level exhaustion suffices for the unary discriminator term because
@@ -333,14 +368,14 @@ def check_discriminator(algebra: FiniteBao, seed: int = 1, samples: int = 200) -
     from .report import Report
 
     rng = random.Random(seed)
-    report = Report("discriminator", {"seed": seed, "samples": samples})
+    report = Report("discriminator", {"seed": seed, "samples": DISCRIMINATOR_SAMPLES})
     report.add("d(0)=0", algebra.discriminator(0) == 0)
     bad = [a for a in range(algebra.natoms)
            if algebra.discriminator(1 << a) != algebra.top]
     report.add("d(atom)=1 for all atoms", not bad,
                {"failing_atoms": bad[:5]} if bad else {"atoms": algebra.natoms})
     failures = 0
-    for _ in range(samples):
+    for _ in range(DISCRIMINATOR_SAMPLES):
         x = algebra.sample_element(rng)
         if x == 0:
             continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import heapq
 import itertools
 from dataclasses import replace
 
@@ -234,6 +235,39 @@ def cyl_per_bit(algebra, i: int, x: int) -> int:
             seen.add(cid)
             out |= masks[cid]
     return out
+
+
+def generated_subalgebra_closure(algebra, gens, bound: int = 4096) -> list[int]:
+    """Least subuniverse containing gens, by closing the element set under
+    negation, every operator and every pairwise join and meet."""
+    elems = {0, algebra.top}
+    if "d" in algebra.ops:
+        for i in range(algebra.n):
+            for j in range(algebra.n):
+                elems.add(algebra.rel.diag_masks[i][j])
+    elems.update(gens)
+    processed: list[int] = []
+    queue = sorted(elems)
+    heapq.heapify(queue)
+    while queue:
+        x = heapq.heappop(queue)
+        new = [algebra.neg(x)]
+        for i in range(algebra.n):
+            new.append(algebra.c(i, x))
+        if "s" in algebra.ops:
+            for sigma in all_sigmas(algebra.n):
+                new.append(algebra.s(sigma, x))
+        for y in processed:
+            new.append(x | y)
+            new.append(x & y)
+        processed.append(x)
+        for y in new:
+            if y not in elems:
+                elems.add(y)
+                heapq.heappush(queue, y)
+                if len(elems) > bound:
+                    raise SizeLimitError(f"subalgebra exceeds bound {bound}")
+    return sorted(elems)
 
 
 def atom_columns(elements, natoms: int) -> list[tuple[str, ...]]:

@@ -5,7 +5,7 @@ import pytest
 
 from graphbao.atoms import (all_partitions, all_sigmas, compose_sigma,
                             enumerate_atoms, subst_atom)
-from graphbao.bao import FiniteBao, complex_algebra, subst_generators
+from graphbao.bao import SIGNATURES, FiniteBao, complex_algebra, subst_generators
 from graphbao.bitset import read_map
 from graphbao.equations import (Equation, check_ca_axioms, check_discriminator,
                                 check_equation_on_subuniverse, check_equation_sampled,
@@ -14,7 +14,8 @@ from graphbao.equations import (Equation, check_ca_axioms, check_discriminator,
 from graphbao.errors import SizeLimitError
 from graphbao.graph import complete_graph, cycle_graph, path_graph
 from oracles import (atom_columns, corrupt_cyl_table, cyl_equiv, cyl_per_bit,
-                     direct_subst_tables, read_map_by_singletons, subst_columns)
+                     direct_subst_tables, generated_subalgebra_closure, read_map_by_singletons,
+                     subst_columns)
 
 
 @pytest.fixture(scope="module")
@@ -190,10 +191,13 @@ class TestEvalAndTerms:
         assert eqs[0].name == "T[i=0][j=1]"
 
     def test_parser_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_equations("bad line without colon", 3)
-        with pytest.raises(ValueError):
-            parse_equations("X : (c 0 x)", 3)
+        for line in ("bad line without colon", "X : (c 0 x)", "bad: (= x", ": (= x x)",
+                     "A : ()", "A : (= x x) y", "A : (= (c 3 x) x)", "A : (= (c (x) x) x)",
+                     "A forall i | i : (= x x)", "A : (= (+) x)",
+                     "A : (= (+ " + "x " * 70 + ") x)",
+                     "A : (= " + "(- " * 70 + "x" + ")" * 70 + " x)"):
+            with pytest.raises(ValueError, match="in equation line"):
+                parse_equations(line, 3)
 
 
 class TestCheckEquation:
@@ -405,6 +409,57 @@ class TestGeneratedSubalgebra:
             for i in range(3):
                 lifted = m.lift(i, B)
                 assert a_k1.c(i, lifted) == lifted
+
+
+def closure_or_overflow(closure, *args):
+    try:
+        return closure(*args)
+    except SizeLimitError as exc:
+        return str(exc)
+
+
+def generator_sets(algebra, rng):
+    """Constants only, one to three random atoms, and one random element."""
+    return ([[]] + [[1 << rng.randrange(algebra.natoms) for _ in range(k)] for k in (1, 2, 3)]
+            + [[rng.getrandbits(algebra.natoms)]])
+
+
+class TestGeneratedSubalgebraOracle:
+    """Block refinement against the pairwise element closure: the same
+    sorted element list, or the same SizeLimitError."""
+
+    def assert_same_closures(self, algebra, gen_sets, bounds):
+        verdicts = []
+        for gens in gen_sets:
+            for bound in bounds:
+                fast = closure_or_overflow(algebra.generated_subalgebra, gens, bound)
+                slow = closure_or_overflow(generated_subalgebra_closure, algebra, gens, bound)
+                assert fast == slow, (gens, bound)
+                verdicts.append(fast)
+        return verdicts
+
+    @pytest.mark.parametrize("signature", sorted(SIGNATURES))
+    @pytest.mark.parametrize("fixture", ["a_k1", "a_k2", "p3_algebra"])
+    def test_small_bounds(self, request, fixture, signature):
+        algebra = FiniteBao(request.getfixturevalue(fixture).rel, signature)
+        gen_sets = generator_sets(algebra, random.Random(f"{fixture}-{signature}"))
+        verdicts = self.assert_same_closures(algebra, gen_sets, (16, 316))
+        assert {type(v) for v in verdicts} == {str, list}  # both outcomes seen
+
+    @pytest.mark.parametrize("signature", sorted(SIGNATURES))
+    def test_default_bound(self, a_k1, signature):
+        # the pairwise closure needs ~0.2 s per overflow at this bound, so
+        # one atom and one element per signature
+        algebra = FiniteBao(a_k1.rel, signature)
+        gen_sets = generator_sets(algebra, random.Random(signature))
+        self.assert_same_closures(algebra, [gen_sets[0], gen_sets[1], gen_sets[4]], (4096,))
+
+    def test_corrupted_cyl_table(self, a_k1):
+        # complete additivity holds for any class masks, reflexive or not
+        algebra = FiniteBao(corrupt_cyl_table(a_k1.rel, 1, 5), "PEA")
+        gen_sets = generator_sets(algebra, random.Random(3))
+        self.assert_same_closures(algebra, gen_sets, (16, 316))
+        self.assert_same_closures(algebra, gen_sets[:2], (4096,))
 
 
 class TestSampledBias:

@@ -121,6 +121,15 @@ class TestBaoVerbs:
         failing = [i for i in data["items"] if i["status"] == "fail"]
         assert failing and "counterexample" in failing[0]["detail"]
 
+    @pytest.mark.parametrize("text", ["bad: (= x\n", ": (= x x)\n"],
+                             ids=["unbalanced", "empty-head"])
+    def test_malformed_axiom_file_is_usage_error(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.eqn"
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "bao", "check", "K1", "--axioms", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "equation line" in err and err.count("\n") == 1
+
     def test_check_pea(self, capsys):
         code, out, _ = run_cli(capsys, "bao", "check", "--graph", "K1",
                                "--axioms", "pea", "--samples", "600", "--seed", "1")
@@ -361,6 +370,13 @@ class TestConfigAndDeterminism:
         code, out, err = run_cli(capsys, "graph", "chi", "K1", "--config", str(cfg))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "JSON object" in err and err.count("\n") == 1
+
+    def test_unknown_output_in_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": "xml"}))
+        code, out, err = run_cli(capsys, "graph", "chi", "K1", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "output" in err and err.count("\n") == 1
 
     def test_dimension_gate(self, capsys):
         code, _, err = run_cli(capsys, "ags", "theta", "--graph", "K1", "--k", "1",

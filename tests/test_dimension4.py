@@ -42,7 +42,7 @@ class TestAlgebraN4:
         assert report.ok
 
     def test_discriminator(self, k1_n4):
-        assert check_discriminator(k1_n4.algebra, seed=1, samples=40).ok
+        assert check_discriminator(k1_n4.algebra, seed=1).ok
 
     def test_ultrafilter_round_trip(self, k1_n4):
         algebra = k1_n4.algebra
