@@ -11,12 +11,13 @@ algebra can be compared exactly.
 Both operators are completely additive (Jonsson-Tarski), so each is read
 off its action on atoms: c_i(x) ORs the R_i-class masks that meet x, and
 s_sigma(x) gathers the bits of x through sigma's atom table in one C-level
-call.  Only the tables of subst_generators(n) are built atom by atom; every
-other map is composed along table[sigma o tau][a] = table[tau][table[sigma][a]],
-the Scomp identity of Henkin-Monk-Tarski, Cylindric Algebras I.
+call (s_many gathers eight elements a call).  Only the tables of
+subst_generators(n) are built atom by atom; every other map is composed
+along table[sigma o tau][a] = table[tau][table[sigma][a]], the Scomp
+identity of Henkin-Monk-Tarski, Cylindric Algebras I.
 
 The ultrafilter structure reads the operators back through the public
-kernels: c_i on every singleton, and each substitution table through s_sigma
+kernels: c_i on every singleton, and each substitution table through s_many
 on the ceil(log2 natoms) bit-slice elements (bitset.read_map), so the
 canonical-extension check tests the kernels against the stored relations.
 """
@@ -30,7 +31,7 @@ from operator import itemgetter
 
 from .atoms import (AtomStructure, all_sigmas, compose_sigma, restrict_partition,
                     sigma_rank, subst_atom)
-from .bitset import gather, read_map
+from .bitset import gather, gather_many, read_map
 from .errors import SizeLimitError
 
 SIGNATURES = {
@@ -152,6 +153,12 @@ class FiniteBao:
             raise ValueError(f"substitutions not in signature {self.signature}")
         return gather(self.rel.subst_for(sigma), x, self.natoms)
 
+    def s_many(self, sigma: tuple[int, ...], xs: list[int]) -> list[int]:
+        """[s(sigma, x) for x in xs], one gather pass per 8 elements."""
+        if "s" not in self.ops:
+            raise ValueError(f"substitutions not in signature {self.signature}")
+        return gather_many(self.rel.subst_for(sigma), xs, self.natoms)
+
     # derived elements ------------------------------------------------------
     def dist_element(self, i: int) -> int:
         """Element whose atoms are exactly the i-distinguishing ones."""
@@ -210,7 +217,7 @@ class FiniteBao:
         ultrafilters when the operator image of the generators lands inside
         the result ultrafilter.  For unary operators that reduces to reading
         the operator off singleton elements: R_i is read from c_i on every
-        singleton, and each substitution table from the public s_sigma on
+        singleton, and each substitution table from the public s_many on
         the bit-slice elements (bitset.read_map), never from the stored
         tables.  A principal ultrafilter contains d_ij iff its atom lies in
         d_ij, so the diagonal masks carry over as they are; so do the
@@ -238,7 +245,7 @@ class FiniteBao:
             class_of.append(tuple(per_atom))
             class_masks.append(tuple(masks))
         if "s" in self.ops:
-            subst = tuple(read_map(partial(self.s, sigma), nat, nat)
+            subst = tuple(read_map(partial(self.s_many, sigma), nat, nat)
                           for sigma in all_sigmas(self.n))
         else:
             subst = self.rel.subst_tables

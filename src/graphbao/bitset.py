@@ -3,6 +3,16 @@
 An atom map f: range(nsrc) -> range(ntgt) acts on bitsets by preimage:
 gather(f, x, ntgt) is {a : f(a) in x}.  read_map inverts that, recovering f
 from any callable that computes its preimages.
+
+gather_many moves up to 8 elements per itemgetter pass through a lane
+string: byte b of the string holds bit b of the j-th element as its bit j
+(lane j).  Gathering the bytes moves all 8 lanes at once.  Read as one
+little-endian integer, each 64-bit word of the result is an 8 x 8 bit
+matrix (byte i = item i, bit j = lane j); transposing every word at once,
+with three masked shift-and-swap rounds on the whole integer (Warren,
+Hacker's Delight, 7-3), puts lane j into byte j of each word, so lane j is
+every 8th byte from byte j.  read_map decodes its answers through the same
+layout.
 """
 
 from __future__ import annotations
@@ -13,7 +23,14 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-_ONE_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+# the digit b"0"/b"1" to the byte holding that bit in lane j
+_TO_LANE = tuple(bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8))
+# the rounds of an 8 x 8 bit transpose of a 64-bit word: swap the bits
+# under mask with those `shift` above them.  No masked bit moves past bit
+# 63 or comes from above it, so the rounds act on every word of a longer
+# integer at once, given the masks repeated word by word.
+_TRANSPOSE_ROUNDS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                     (28, 0x00000000F0F0F0F0))
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -44,6 +61,46 @@ def gather(table: Sequence[int], x: int, width: int) -> int:
     return int("".join(itemgetter(*table)(bits))[::-1], 2)
 
 
+def _lanes(xs: Sequence[int], width: int) -> bytes:
+    """width bytes, byte b holding bit b of xs[j] as its bit j (len(xs) <= 8)."""
+    acc = 0
+    for j, x in enumerate(xs):
+        digits = format(x, f"0{width}b").encode().translate(_TO_LANE[j])
+        acc |= int.from_bytes(digits, "big")  # the last digit is bit 0
+    return acc.to_bytes(width, "little")
+
+
+@lru_cache(maxsize=16)  # one entry per table size in use
+def _transpose_masks(words: int) -> tuple[tuple[int, int, int], ...]:
+    """(shift, mask, kept bits) per transpose round, repeated over words."""
+    every = ((1 << 64 * words) - 1) // ((1 << 64) - 1)  # bit 0 of each word
+    return tuple((shift, mask * every, (~(mask | mask << shift) & (1 << 64) - 1) * every)
+                 for shift, mask in _TRANSPOSE_ROUNDS)
+
+
+def gather_many(table: Sequence[int], xs: Sequence[int], width: int) -> list[int]:
+    """[gather(table, x, width) for x in xs], one itemgetter pass per 8 elements.
+
+    Each chunk of 8 is packed into one lane string, gathered, transposed
+    word by word and read back lane by lane; nothing is kept from one chunk
+    to the next.
+    """
+    if len(table) < 2:
+        return [gather(table, x, width) for x in xs]
+    get = itemgetter(*table)
+    words = -(-len(table) // 8)
+    rounds = _transpose_masks(words)
+    out = []
+    for start in range(0, len(xs), 8):
+        chunk = xs[start:start + 8]
+        moved = int.from_bytes(bytes(get(_lanes(chunk, width))), "little")
+        for shift, mask, kept in rounds:
+            moved = moved & kept | (moved & mask) << shift | moved >> shift & mask
+        by_lane = moved.to_bytes(8 * words, "little")
+        out += [int.from_bytes(by_lane[j::8], "little") for j in range(len(chunk))]
+    return out
+
+
 @lru_cache(maxsize=256)  # read_map asks for the same few slices map after map
 def bit_slice(k: int, n: int) -> int:
     """The set {b < n : bit k of b is 1}."""
@@ -54,17 +111,20 @@ def bit_slice(k: int, n: int) -> int:
     return block * copies & ((1 << n) - 1)
 
 
-def read_map(preimage: Callable[[int], int], nsrc: int, ntgt: int) -> tuple[int, ...]:
+def read_map(preimages: Callable[[list[int]], list[int]], nsrc: int,
+             ntgt: int) -> tuple[int, ...]:
     """The map f: range(nsrc) -> range(ntgt) whose preimage operator is given.
 
-    Bit k of f(a) is bit a of preimage(bit_slice(k, ntgt)), so
-    ceil(log2(ntgt)) calls determine f.  Each answer becomes one byte per
-    item (bit k % 8 set or not), the bytes of every 8 slices are ORed into
-    one byte string, and those strings are interleaved into fixed-width
-    little-endian slots that array reads as one integer per item.
+    preimages is batched: it maps a list of elements to the list of their
+    preimages.  Bit k of f(a) is bit a of the preimage of bit_slice(k, ntgt),
+    so ceil(log2(ntgt)) slices determine f; read_map asks for them in one
+    call per 8 slices, slices 8m .. 8m + 7 in call m.  The answers of call m
+    form one lane string (slice k in lane k % 8, so byte a is byte m of
+    f(a)), and those strings are interleaved into fixed-width little-endian
+    slots that array reads as one integer per item.
 
     Raises RuntimeError when an answer has a bit at or beyond nsrc or a
-    decoded value is not below ntgt: then preimage is no preimage operator
+    decoded value is not below ntgt: then preimages is no preimage operator
     of a map into range(ntgt).
     """
     nbits = max(ntgt - 1, 0).bit_length()
@@ -72,15 +132,11 @@ def read_map(preimage: Callable[[int], int], nsrc: int, ntgt: int) -> tuple[int,
     slot = array(typecode).itemsize
     buf = bytearray(nsrc * slot)
     for byte in range(-(-nbits // 8)):
-        acc = 0
-        for k in range(8 * byte, min(8 * byte + 8, nbits)):
-            answer = preimage(bit_slice(k, ntgt))
-            if not 0 <= answer < 1 << nsrc:
-                raise RuntimeError(f"preimage has bits outside range({nsrc})")
-            # byte a of the big-endian read of the bit string is item a
-            digits = format(answer, f"0{nsrc}b").encode().translate(_ONE_BYTE)
-            acc |= int.from_bytes(digits, "big") << k % 8
-        buf[byte::slot] = acc.to_bytes(nsrc, "little")
+        slices = range(8 * byte, min(8 * byte + 8, nbits))
+        answers = preimages([bit_slice(k, ntgt) for k in slices])
+        if not all(0 <= a < 1 << nsrc for a in answers):
+            raise RuntimeError(f"preimage has bits outside range({nsrc})")
+        buf[byte::slot] = _lanes(answers, nsrc)
     values = array(typecode, buf)
     if sys.byteorder == "big":
         values.byteswap()

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 
 from .atoms import (Atom, AtomStructure, all_sigmas, atom_is_valid, enumerate_atoms,
                     DEFAULT_ATOM_BOUND)
 from .bao import FiniteBao, complex_algebra
-from .bitset import gather, read_map
+from .bitset import gather, gather_many, read_map
 from .graph import (Graph, VertexMap, chromatic_number, compose_maps, graph_from_json,
                     graph_to_json, is_p_morphism, is_surjective)
 from .report import Report
@@ -124,13 +123,9 @@ class AlgebraEmbedding:
     def __call__(self, element: int) -> int:
         return gather(self.mapping, element, self.domain.natoms)
 
-    @cached_property
-    def preimage_masks(self) -> tuple[int, ...]:
-        """[domain atom] -> codomain atoms mapped onto it."""
-        masks = [0] * self.domain.natoms
-        for a, image in enumerate(self.mapping):
-            masks[image] |= 1 << a
-        return tuple(masks)
+    def many(self, elements: list[int]) -> list[int]:
+        """[self(x) for x in elements], one gather pass per 8 elements."""
+        return gather_many(self.mapping, elements, self.domain.natoms)
 
 
 def dual_embedding(g: AtomPMorphism) -> AlgebraEmbedding:
@@ -140,18 +135,25 @@ def dual_embedding(g: AtomPMorphism) -> AlgebraEmbedding:
 
 def validate_embedding(emb: AlgebraEmbedding, seed: int = 1, samples: int = 1000) -> Report:
     """Injectivity exhaustively on atoms; homomorphism sampled plus exact
-    images of every operator applied to constants."""
+    images of every operator applied to constants.
+
+    Every image goes through the embedding's batched call, one gather pass
+    per 8 elements, and no batch outlives its check: the atom preimages
+    emb(1 << b) are read 8 atoms a call, their union and overlaps tracked as
+    they arrive, and each sample maps its 5 + n images x, y, x | y, -x,
+    c_0 x .. c_{n-1} x and s_sigma x in one call.
+    """
     rng = random.Random(seed)
     dom, cod = emb.domain, emb.codomain
     report = Report("algebra-embedding", {"seed": seed, "samples": samples})
 
-    nonempty = all(mask != 0 for mask in emb.preimage_masks)
+    nonempty = disjoint = True
     union = 0
-    disjoint = True
-    for mask in emb.preimage_masks:
-        if union & mask:
-            disjoint = False
-        union |= mask
+    for start in range(0, dom.natoms, 8):
+        for mask in emb.many([1 << b for b in range(start, min(start + 8, dom.natoms))]):
+            nonempty = nonempty and mask != 0
+            disjoint = disjoint and not union & mask
+            union |= mask
     report.add("atom preimages nonempty and disjoint", nonempty and disjoint
                and union == cod.top)
 
@@ -166,14 +168,15 @@ def validate_embedding(emb: AlgebraEmbedding, seed: int = 1, samples: int = 1000
     for _ in range(samples):
         x = dom.sample_element(rng, pool)
         y = dom.sample_element(rng, pool)
-        ex = emb(x)
-        if emb(x | y) != ex | emb(y) or emb(dom.neg(x)) != cod.neg(ex):
-            ok_bool = False
-        for i in range(dom.n):
-            if emb(dom.c(i, x)) != cod.c(i, ex):
-                ok_cyl = False
         sigma = sigmas[rng.randrange(len(sigmas))]
-        if emb(dom.s(sigma, x)) != cod.s(sigma, ex):
+        ex, ey, ejoin, eneg, *ecyl, esub = emb.many(
+            [x, y, x | y, dom.neg(x)] + [dom.c(i, x) for i in range(dom.n)]
+            + [dom.s(sigma, x)])
+        if ejoin != ex | ey or eneg != cod.neg(ex):
+            ok_bool = False
+        if any(e != cod.c(i, ex) for i, e in enumerate(ecyl)):
+            ok_cyl = False
+        if esub != cod.s(sigma, ex):
             ok_sub = False
     report.add("boolean operations preserved (sampled)", ok_bool)
     report.add("cylindrifications preserved (sampled)", ok_cyl)
@@ -186,15 +189,16 @@ def dual_surjection(emb: AlgebraEmbedding) -> AtomPMorphism:
 
     Each atom of the codomain sits inside the image of exactly one atom of
     the domain; that atom is its image.  The map is read back through the
-    embedding itself, on bit-slice elements (bitset.read_map), which raises
-    RuntimeError when the embedding is no preimage operator of an atom map.
+    embedding's batched call on bit-slice elements (bitset.read_map), which
+    raises RuntimeError when the embedding is no preimage operator of an
+    atom map.
     """
     source = emb.codomain.atom_structure
     target = emb.domain.atom_structure
     if source is None or target is None:
         raise RuntimeError("dual surjection needs atom-structure provenance")
     return AtomPMorphism(source, target,
-                         read_map(emb, emb.codomain.natoms, emb.domain.natoms))
+                         read_map(emb.many, emb.codomain.natoms, emb.domain.natoms))
 
 
 def check_chain(chain: GraphChain, n: int, seed: int = 1, samples: int = 300,

@@ -106,6 +106,9 @@ _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 # deepest term an equation file may build: building and evaluating a term
 # recurse once per level, and each argument of + or * adds a level
 MAX_TERM_DEPTH = 64
+# most index assignments one schema may expand to (n ** its forall variables);
+# the built-in schemas need at most 5 ** 3
+MAX_SCHEMA_ASSIGNMENTS = 4096
 
 
 def _read_sexpr(text: str):
@@ -189,6 +192,9 @@ def _parse_schema(line: str, n: int) -> list[Equation]:
     node = _read_sexpr(body)
     if not (isinstance(node, list) and len(node) == 3 and node[0] == "="):
         raise ValueError("equation body must be (= lhs rhs)")
+    if n ** len(idx_vars) > MAX_SCHEMA_ASSIGNMENTS:
+        raise ValueError(f"{len(idx_vars)} index variables give {n}^{len(idx_vars)} "
+                         f"assignments, more than {MAX_SCHEMA_ASSIGNMENTS}")
     out = []
     for values in itertools.product(range(n), repeat=len(idx_vars)):
         assignment = dict(zip(idx_vars, values))

@@ -342,10 +342,13 @@ def with_cyl_classes(m, i: int, class_of):
 
 def embed_per_bit(emb, x: int) -> int:
     """The dual embedding one atom of x at a time: the union of the
-    preimage masks of its atoms."""
+    preimage masks of its atoms, each read off emb.mapping."""
+    masks = [0] * emb.domain.natoms
+    for a, image in enumerate(emb.mapping):
+        masks[image] |= 1 << a
     out = 0
     for atom in iter_bits(x):
-        out |= emb.preimage_masks[atom]
+        out |= masks[atom]
     return out
 
 

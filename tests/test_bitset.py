@@ -1,6 +1,9 @@
+import itertools
+import random
+
 import pytest
 
-from graphbao.bitset import bit_slice, gather, read_map
+from graphbao.bitset import bit_slice, gather, gather_many, read_map
 
 
 def test_bit_slices():
@@ -17,21 +20,33 @@ def test_gather_short_tables():
 
 
 def test_read_map_constant_and_empty_maps():
-    assert read_map(lambda x: 0b111, 3, 1) == (0, 0, 0)
-    assert read_map(lambda x: 0, 0, 5) == ()
+    assert read_map(lambda xs: [0b111] * len(xs), 3, 1) == (0, 0, 0)
+    assert read_map(lambda xs: [0] * len(xs), 0, 5) == ()
 
 
 def test_read_map_rejects_bits_outside_the_source():
     with pytest.raises(RuntimeError, match="outside range"):
-        read_map(lambda x: 1 << 5, 5, 4)
+        read_map(lambda xs: [1 << 5] * len(xs), 5, 4)
 
 
 def test_read_map_rejects_values_outside_the_target():
     # every slice answers "all items", so each item decodes to 3, not below 3
     with pytest.raises(RuntimeError, match="outside range"):
-        read_map(lambda x: 0b11, 2, 3)
+        read_map(lambda xs: [0b11] * len(xs), 2, 3)
 
 
 def test_read_map_needs_a_target():
     with pytest.raises(RuntimeError):
-        read_map(lambda x: 0, 2, 0)
+        read_map(lambda xs: [0] * len(xs), 2, 0)
+
+
+def test_gather_many_matches_gather():
+    # widths either side of a byte, short tables, batches around 8 lanes;
+    # each lane holds its own random element, so swapped lanes show
+    rng = random.Random(10)
+    for width, length, count in itertools.product([7, 8, 9], [0, 1, 2, 11],
+                                                  [0, 1, 7, 8, 9, 17]):
+        table = [rng.randrange(width) for _ in range(length)]
+        xs = [rng.getrandbits(width) for _ in range(count)]
+        expected = [gather(table, x, width) for x in xs]
+        assert gather_many(table, xs, width) == expected, (width, length, count)

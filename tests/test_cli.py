@@ -130,6 +130,15 @@ class TestBaoVerbs:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "equation line" in err and err.count("\n") == 1
 
+    def test_oversized_schema_is_usage_error(self, capsys, tmp_path):
+        # 3^20 index assignments: refused before any is instantiated
+        names = " ".join(f"i{k}" for k in range(20))
+        big = tmp_path / "big.eqn"
+        big.write_text(f"huge forall {names} : (= (c i0 x) (c i19 x))\n")
+        code, out, err = run_cli(capsys, "bao", "check", "K1", "--axioms", str(big))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "more than" in err and err.count("\n") == 1
+
     def test_check_pea(self, capsys):
         code, out, _ = run_cli(capsys, "bao", "check", "--graph", "K1",
                                "--axioms", "pea", "--samples", "600", "--seed", "1")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -135,6 +136,57 @@ class TestDualEmbedding:
             seen.add(image)
 
 
+@dataclass
+class FlippedLane(AlgebraEmbedding):
+    """The batched call flips bit 0 of one lane's image, in the per-sample
+    batches of validate_embedding only: those are the batches whose lane 2
+    is the union of lanes 0 and 1 (x, y, x | y, ...)."""
+
+    lane: int = 0
+
+    def many(self, elements):
+        out = super().many(elements)
+        if len(elements) > 2 and elements[2] == elements[0] | elements[1]:
+            out[self.lane] ^= 1
+        return out
+
+
+@dataclass
+class DroppedAtom(AlgebraEmbedding):
+    """The batched call maps every element as if it lacked domain atom `atom`."""
+
+    atom: int = 0
+
+    def many(self, elements):
+        return super().many([x & ~(1 << self.atom) for x in elements])
+
+
+class TestEmbeddingMutations:
+    @staticmethod
+    def failed(emb):
+        report = validate_embedding(emb, seed=1, samples=20)
+        return {item.name for item in report.items if item.status != "pass"}
+
+    def test_faithful_embedding_passes(self, wrap63):
+        assert self.failed(dual_embedding(wrap63)) == set()
+
+    # lanes of one sample at n = 3: x, y, x | y, -x, c_0 x, c_1 x, c_2 x, s x
+    @pytest.mark.parametrize("lane, item", [
+        (2, "boolean operations preserved (sampled)"),
+        (4, "cylindrifications preserved (sampled)"),
+        (7, "substitutions preserved (sampled)")])
+    def test_flipped_lane_fails_its_item(self, wrap63, lane, item):
+        emb = dual_embedding(wrap63)
+        broken = FlippedLane(emb.domain, emb.codomain, emb.mapping, lane)
+        assert self.failed(broken) == {item}
+
+    def test_dropped_atom_preimage_fails_the_atom_item(self, wrap63):
+        emb = dual_embedding(wrap63)
+        broken = DroppedAtom(emb.domain, emb.codomain, emb.mapping, 100)
+        assert broken.many([1 << 100]) == [0]
+        assert "atom preimages nonempty and disjoint" in self.failed(broken)
+
+
 class TestEmbeddingAgainstOracles:
     @pytest.mark.parametrize("which", ["identity", "wrap"])
     def test_embedding_matches_per_bit(self, which, c3_structure, wrap63):
@@ -150,8 +202,8 @@ class TestEmbeddingAgainstOracles:
     def test_read_map_matches_singletons(self, wrap63):
         emb = dual_embedding(wrap63)
         nsrc, ntgt = emb.codomain.natoms, emb.domain.natoms
-        assert read_map(emb, nsrc, ntgt) == read_map_by_singletons(emb, nsrc, ntgt)
-        assert read_map(emb, nsrc, ntgt) == wrap63.mapping
+        assert read_map(emb.many, nsrc, ntgt) == read_map_by_singletons(emb, nsrc, ntgt)
+        assert read_map(emb.many, nsrc, ntgt) == wrap63.mapping
 
 
 class TestDualSurjection:
