@@ -93,10 +93,9 @@ class AgsModel:
         return rng.getrandbits(self.vertex_count) if self.vertex_count else 0
 
 
-def build_model(g: Graph, n: int, signature: str = "PEA",
-                atom_bound: int = DEFAULT_ATOM_BOUND) -> AgsModel:
+def build_model(g: Graph, n: int, atom_bound: int = DEFAULT_ATOM_BOUND) -> AgsModel:
     structure = enumerate_atoms(g, n, max_atoms=atom_bound)
-    algebra = complex_algebra(structure, signature)
+    algebra = complex_algebra(structure)
     return AgsModel(algebra, structure, g, n)
 
 
@@ -123,14 +122,13 @@ def check_block_structure(m: AgsModel) -> Report:
         if union & mask:
             disjoint = False
         union |= mask
-    report.add("blocks partition the vertex set", disjoint and union == m.vtop,
-               seconds=report.lap())
+    report.add("blocks partition the vertex set", disjoint and union == m.vtop)
     cross_ok = True
     for x in range(m.vertex_count):
         for y in range(m.vertex_count):
             if x != y and not m.same_block(x, y) and not m.graph.has_edge(x, y):
                 cross_ok = False
-    report.add("vertices in distinct blocks are adjacent", cross_ok, seconds=report.lap())
+    report.add("vertices in distinct blocks are adjacent", cross_ok)
     return report
 
 
@@ -148,7 +146,7 @@ def check_rs_properties(m: AgsModel, seed: int = 1, samples: int = 300) -> Repor
         for i in range(m.n):
             if m.proj(i, a) & ~m.proj(i, b):
                 ok, ce = False, {"a": hex(a), "b": hex(b), "i": i}
-    report.add("monotone projection", ok, ce, seconds=report.lap())
+    report.add("monotone projection", ok, ce)
 
     ok, ce = True, None
     for _ in range(samples):
@@ -160,7 +158,7 @@ def check_rs_properties(m: AgsModel, seed: int = 1, samples: int = 300) -> Repor
                 b = x & A.d(i, j)
                 if m.proj(i, b) != m.proj(j, b):
                     ok, ce = False, {"b": hex(b), "i": i, "j": j}
-    report.add("projections agree under the diagonal", ok, ce, seconds=report.lap())
+    report.add("projections agree under the diagonal", ok, ce)
 
     ok, ce = True, None
     for _ in range(samples):
@@ -168,7 +166,7 @@ def check_rs_properties(m: AgsModel, seed: int = 1, samples: int = 300) -> Repor
             a = A.sample_element(rng, pool) & A.dist_element(i)
             if a & ~m.lift(i, m.proj(i, a)):
                 ok, ce = False, {"a": hex(a), "i": i}
-    report.add("lift of projection covers", ok, ce, seconds=report.lap())
+    report.add("lift of projection covers", ok, ce)
 
     ok, ce = True, None
     for _ in range(samples):
@@ -182,11 +180,10 @@ def check_rs_properties(m: AgsModel, seed: int = 1, samples: int = 300) -> Repor
                 f = lambda e: m.proj(i, e & dij)
                 if f(x | y) != (f(x) | f(y)) or f(A.neg(x)) != (m.vtop ^ f(x)):
                     ok, ce = False, {"x": hex(x), "y": hex(y), "i": i, "j": j}
-    report.add("masked projection is a boolean homomorphism", ok, ce, seconds=report.lap())
+    report.add("masked projection is a boolean homomorphism", ok, ce)
     concrete = all(m.proj(i, A.dist_element(i) & A.d(i, j)) == m.vtop
                    for i in range(m.n) for j in range(m.n) if i != j)
-    report.add("masked projection sends its unit to the full set", concrete,
-               seconds=report.lap())
+    report.add("masked projection sends its unit to the full set", concrete)
 
     exhaustive = m.vertex_count <= 8
     sets = (range(1 << m.vertex_count) if exhaustive
@@ -201,12 +198,12 @@ def check_rs_properties(m: AgsModel, seed: int = 1, samples: int = 300) -> Repor
                 okc, cec = False, {"B": hex(B), "i": i}
     mode = {"mode": "exhaustive" if exhaustive else "sampled"}
     # one loop serves both items; its time goes to the first
-    report.add("projection undoes lift", ok, ce or mode, seconds=report.lap())
-    report.add("lifts are cylindrified fixpoints", okc, cec or mode, seconds=report.lap())
+    report.add("projection undoes lift", ok, ce or mode)
+    report.add("lifts are cylindrified fixpoints", okc, cec or mode)
     return report
 
 
-def check_projection_properties(m: AgsModel, seed: int = 1) -> Report:
+def check_projection_properties(m: AgsModel) -> Report:
     """Exhaustive atom-level facts about ultrafilter projections.
 
     Principal ultrafilters are identified with their generating atoms, and
@@ -222,7 +219,7 @@ def check_projection_properties(m: AgsModel, seed: int = 1) -> Report:
     the check is linear in the number of atoms.
     """
     A = m.algebra
-    report = Report("projections", {"seed": seed})
+    report = Report("projections")
     n = m.n
 
     points = m.proj_points
@@ -240,12 +237,12 @@ def check_projection_properties(m: AgsModel, seed: int = 1) -> Report:
                     ok = False
             elif image != 1 << points[i][a]:
                 ok = False
-    report.add("projection of a principal ultrafilter", ok, seconds=report.lap())
+    report.add("projection of a principal ultrafilter", ok)
 
     ok = all(points[i][a] == points[j][a]
              for a in range(A.natoms) for i in range(n) for j in range(n)
              if A.d(i, j) >> a & 1)
-    report.add("diagonal membership merges projections", ok, seconds=report.lap())
+    report.add("diagonal membership merges projections", ok)
 
     ok = True
     for i in range(n):
@@ -257,7 +254,7 @@ def check_projection_properties(m: AgsModel, seed: int = 1) -> Report:
                 matches = [a for a in iter_bits(fd) if m.atom_value[i][a] == p]
                 if len(matches) != 1:
                     ok = False
-    report.add("unique distinguishing-diagonal atom per vertex", ok, seconds=report.lap())
+    report.add("unique distinguishing-diagonal atom per vertex", ok)
 
     ok = True
     for i in range(n):
@@ -267,8 +264,7 @@ def check_projection_properties(m: AgsModel, seed: int = 1) -> Report:
         class_of = A.rel.cyl_class_of[i]
         if not len(set(zip(class_of, keys))) == len(set(class_of)) == len(set(keys)):
             ok = False
-    report.add("cylindric relatedness is diagonal agreement plus equal projection", ok,
-               seconds=report.lap())
+    report.add("cylindric relatedness is diagonal agreement plus equal projection", ok)
 
     ok = True
     for sigma in all_sigmas(n):
@@ -278,7 +274,7 @@ def check_projection_properties(m: AgsModel, seed: int = 1) -> Report:
             # ultrafilter substitution takes the generator along the table
             if j is not None and tuple(map(points[i].__getitem__, table)) != points[j]:
                 ok = False
-    report.add("substitution permutes projections", ok, seconds=report.lap())
+    report.add("substitution permutes projections", ok)
     return report
 
 
@@ -307,7 +303,7 @@ def check_substitution_properties(m: AgsModel, seed: int = 1, samples: int = 200
                 ok = False
             if A.s(sigma, x | y) != A.s(sigma, x) | A.s(sigma, y):
                 ok = False
-    report.add("substitutions are boolean endomorphisms", ok, seconds=report.lap())
+    report.add("substitutions are boolean endomorphisms", ok)
 
     ok = True
     for _ in range(max(1, samples // 20)):
@@ -316,18 +312,18 @@ def check_substitution_properties(m: AgsModel, seed: int = 1, samples: int = 200
             for tau in sigmas:
                 if A.s(compose_sigma(sigma, tau), x) != A.s(sigma, A.s(tau, x)):
                     ok = False
-    report.add("substitution composes contravariantly", ok, seconds=report.lap())
+    report.add("substitution composes contravariantly", ok)
 
     ok = all(A.s(sigma, A.d(i, j)) == A.d(sigma[i], sigma[j])
              for sigma in sigmas for i in range(n) for j in range(n))
-    report.add("substituted diagonals", ok, seconds=report.lap())
+    report.add("substituted diagonals", ok)
 
     ok = True
     for sigma in sigmas:
         for sim in all_partitions(n):
             if A.d_partition(sim) & ~A.s(sigma, A.d_partition(subst_partition(sim, sigma))):
                 ok = False
-    report.add("partition constants grow along substitution", ok, seconds=report.lap())
+    report.add("partition constants grow along substitution", ok)
 
     ok = True
     for sigma in sigmas:
@@ -341,7 +337,7 @@ def check_substitution_properties(m: AgsModel, seed: int = 1, samples: int = 200
                 a = A.sample_element(rng, pool)
                 if m.proj(j, A.s(sigma, a)) & ~m.proj(i, a):
                     ok = False
-    report.add("projection shrinks along substitution", ok, seconds=report.lap())
+    report.add("projection shrinks along substitution", ok)
 
     ok = True
     for sigma in sigmas:
@@ -354,7 +350,7 @@ def check_substitution_properties(m: AgsModel, seed: int = 1, samples: int = 200
                 for i in range(n):
                     if A.c(sigma[i], A.s(sigma, a)) != A.s(sigma, A.c(i, a)):
                         ok = False
-    report.add("cylindrifications move through substitution", ok, seconds=report.lap())
+    report.add("cylindrifications move through substitution", ok)
     return report
 
 
@@ -364,7 +360,7 @@ def run_suite(m: AgsModel, which: str = "all", seed: int = 1, samples: int = 300
         report.extend(check_block_structure(m))
         report.extend(check_rs_properties(m, seed, samples))
     if which in ("proj", "all"):
-        report.extend(check_projection_properties(m, seed))
+        report.extend(check_projection_properties(m))
     if which in ("subst", "all"):
         report.extend(check_substitution_properties(m, seed, samples))
     return report

@@ -425,8 +425,8 @@ def graph_from_json(data: dict) -> Graph:
     return Graph.from_edges(vertices, pairs)
 
 
-def graph_to_dot(g: Graph, name: str = "g") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: Graph) -> str:
+    lines = ["graph g {"]
     for v in range(g.vertex_count):
         lines.append(f"  {v};")
     for u, v in sorted(g.edges()):

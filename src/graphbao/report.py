@@ -1,4 +1,11 @@
-"""Check reports shared by the suite runners and the CLI."""
+"""Check reports shared by the suite runners and the CLI.
+
+Each item times itself: `Report.add` stamps it with the seconds since the
+previous item of the same report was added, or since the report was made
+if it is the first.  `Report.extend` takes over another report's items with
+their own times and restarts the clock, so the next item added does not
+count the extended report's work a second time.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +17,7 @@ from dataclasses import dataclass, field
 @dataclass
 class CheckItem:
     name: str
-    status: str                 # "pass" | "fail" | "error"
+    status: str                 # "pass" | "fail"
     detail: dict | None = None
     seconds: float = 0.0
 
@@ -28,26 +35,25 @@ class Report:
     title: str
     config: dict = field(default_factory=dict)
     items: list[CheckItem] = field(default_factory=list)
-    mark: float = field(default_factory=time.perf_counter, repr=False, compare=False)
+    mark: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.mark = time.perf_counter()
 
     @property
     def ok(self) -> bool:
         return all(item.status == "pass" for item in self.items)
 
-    def add(self, name: str, passed: bool, detail: dict | None = None,
-            seconds: float = 0.0) -> CheckItem:
-        item = CheckItem(name, "pass" if passed else "fail", detail, seconds)
+    def add(self, name: str, passed: bool, detail: dict | None = None) -> CheckItem:
+        now = time.perf_counter()
+        item = CheckItem(name, "pass" if passed else "fail", detail, now - self.mark)
+        self.mark = now
         self.items.append(item)
         return item
 
-    def lap(self) -> float:
-        """Seconds since the report was made or since the previous lap."""
-        now = time.perf_counter()
-        elapsed, self.mark = now - self.mark, now
-        return elapsed
-
     def extend(self, other: "Report") -> None:
         self.items.extend(other.items)
+        self.mark = time.perf_counter()
 
     def first_failure(self) -> CheckItem | None:
         for item in self.items:

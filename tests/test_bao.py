@@ -261,6 +261,7 @@ class TestDiscriminator:
     def test_k1(self, a_k1):
         report = check_discriminator(a_k1, seed=1)
         assert report.ok
+        assert all(item.seconds > 0 for item in report.items)
 
     def test_zero_and_atoms_directly(self, a_k1):
         assert a_k1.discriminator(0) == 0

@@ -153,6 +153,7 @@ class TestBaoVerbs:
                                "--output", "json")
         data = json.loads(out)
         assert code == 0 and data["items"][0]["status"] == "pass"
+        assert data["items"][0]["seconds"] > 0
 
 
 class TestAgsVerbs:

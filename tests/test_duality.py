@@ -43,6 +43,7 @@ class TestLift:
     def test_wrap_passes_all_checks(self, wrap63):
         report = validate_atom_pmorphism(wrap63)
         assert report.ok
+        assert all(item.seconds > 0 for item in report.items)
         names = {item.name for item in report.items}
         assert "cylindric back" in names and "substitution equivariance (forth)" in names
 
@@ -242,6 +243,13 @@ class TestChains:
                             VertexMap(c3a, c3a, (0, 1, 2))])
         report = check_chain(chain, 3, seed=1, samples=60)
         assert report.ok
+
+    def test_every_item_is_timed(self):
+        c6, c3 = cycle_graph(6), cycle_graph(3)
+        chain = GraphChain([c3, c6], [VertexMap(c6, c3, tuple(i % 3 for i in range(6)))])
+        report = check_chain(chain, 3, seed=1, samples=20, max_atoms=6000)
+        assert report.ok and len(report.items) == 8
+        assert all(item.seconds > 0 for item in report.items)
 
     def test_json_round_trip(self):
         c6, c3 = cycle_graph(6), cycle_graph(3)
