@@ -62,6 +62,16 @@ class AgsModel:
         return masks
 
     @cached_property
+    def preimage_masks(self) -> list[list[int]]:
+        """[rank][atom] -> mask of the atoms x with subst_tables[rank][x] == atom."""
+        tables = self.algebra.rel.subst_tables
+        masks = [[0] * self.algebra.natoms for _ in tables]
+        for row, table in zip(masks, tables):
+            for x, y in enumerate(table):
+                row[y] |= 1 << x
+        return masks
+
+    @cached_property
     def proj_points(self) -> tuple[tuple[int | None, ...], ...]:
         """[i][atom] -> proj_point(atom, i)."""
         return tuple(

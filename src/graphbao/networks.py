@@ -242,13 +242,14 @@ def _witnessed(net: UfNetwork, move: GameMove) -> bool:
     return any(net.labels[v[:i] + (node,) + v[i + 1:]] == move.atom for node in net.nodes)
 
 
-def exists_responses(m: AgsModel, net: UfNetwork, move: GameMove):
+def exists_responses(m: AgsModel, net: UfNetwork, move: GameMove, *, ordered: bool = True):
     """All legal responses: the unchanged network when a witness tuple already
-    carries the demanded atom, then every one-fresh-node extension."""
+    carries the demanded atom, then every one-fresh-node extension (sorted
+    unless `ordered` is false, see _extension_networks)."""
     witnessed = _witnessed(net, move)
     if witnessed:
         yield net
-    yield from _extension_networks(m, net, move, witnessed)
+    yield from _extension_networks(m, net, move, witnessed, ordered)
 
 
 def _getter(keys):
@@ -297,21 +298,25 @@ def _subset_tables(n: int, nodes: tuple[int, ...]):
     return fresh, itemgetter(*fresh), leads, subsets
 
 
-def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove, witnessed: bool):
-    """Every valid network on one fresh node that witnesses the move, in
-    ascending order of its labels on w0, then on the other fresh tuples.
+def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove, witnessed: bool,
+                        ordered: bool):
+    """Every valid network on one fresh node that witnesses the move.  With
+    `ordered` they come sorted by their labels on w0, then on the other
+    fresh tuples; without, lazily in search order, so a caller that takes
+    one stops the search at its first kept labelling.
 
     In polyadic mode a tuple is c o sigma for a tuple c listing a maximal
     node subset that holds its image, so its label is table[sigma][label
     of c]: the search picks one label per new maximal subset, from c's
-    pattern mask cut by the classes of c's labelled cylindric neighbours,
-    and derives the labels of c's images, backtracking on a clash.  The
-    demanded atom is pre-assigned at w0 unless an old tuple witnesses the
-    move.  A labelling is kept when every cylindric line through the fresh
-    node is one class; each kept network is validated on its fresh tuples,
-    which is the full check because the parent is valid (a tuple without
-    the fresh node has no image with it, and the cylindric relation is
-    symmetric).
+    pattern mask cut by the classes of c's labelled cylindric neighbours
+    and by the preimage of each labelled image's label (so every candidate
+    agrees with the labels already assigned), and derives the labels of c's
+    other images, backtracking on a clash between them.  The demanded
+    atom is pre-assigned at w0 unless an old tuple witnesses the move.  A
+    labelling is kept when every cylindric line through the fresh node is
+    one class; each kept network is validated on its fresh tuples, which is
+    the full check because the parent is valid (a tuple without the fresh
+    node has no image with it, and the cylindric relation is symmetric).
     """
     n = m.n
     v, i, a = move.v, move.i, move.atom
@@ -326,35 +331,32 @@ def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove, witnessed: 
     rel = m.algebra.rel
     class_of, class_masks, tables = rel.cyl_class_of, rel.cyl_class_masks, rel.subst_tables
     assigned = dict(net.labels) if witnessed else {**net.labels, w0: a}
-    keys = []
 
     def label(pos):
         if pos == len(subsets):
             labels = fresh_labels(assigned)
             if all([*map(cls.__getitem__, labels)] == [*map(cls.__getitem__, lead(assigned))]
                    for cls, lead in zip(class_of, leads)):
-                keys.append(key(assigned))
+                yield key(assigned)
             return
         pattern, cyl, images = subsets[pos]
         mask = m.pattern_masks.get(pattern, 0)
         for i2, u in cyl:
             if u in assigned:
                 mask &= class_masks[i2][class_of[i2][assigned[u]]]
-        # images labelled before the pick are only compared, w0 first: it
-        # rejects most candidates; the others are written, then cleared
-        labelled = sorted(((tables[rank], u) for rank, u in images if u in assigned),
-                          key=lambda image: image[1] != w0)
+        # an image labelled before the pick admits the preimage of its label
+        # only; the other images are written for each candidate, then cleared
         free = [(tables[rank], u) for rank, u in images if u not in assigned]
+        for rank, u in images:
+            if u in assigned:
+                mask &= m.preimage_masks[rank][assigned[u]]
         for x in iter_bits(mask):
-            if any(table[x] != assigned[u] for table, u in labelled):
-                continue
             if all(assigned.setdefault(u, table[x]) == table[x] for table, u in free):
-                label(pos + 1)
+                yield from label(pos + 1)
             for _, u in free:
                 assigned.pop(u, None)
 
-    label(0)
-    for row in sorted(keys):
+    for row in sorted(label(0)) if ordered else label(0):
         net2 = UfNetwork(n, nodes2, {**net.labels, **dict(zip(order, row))})
         bad = validate_network(net2, m, "polyadic", tuples=fresh)
         if bad:
@@ -381,7 +383,9 @@ def exists_survives(m: AgsModel, depth: int, strategy: str = "exhaustive",
     challenger moves and all single-node responses, in a fixed order, so the
     verdict, trace and visit count are deterministic.  Responses come from
     _extension_networks, which labels one tuple per new maximal node subset
-    and derives the rest through the substitution tables.  paper: follow
+    and derives the rest through the substitution tables.  At the last round
+    any response wins, so the first labelling the search keeps answers the
+    move; only `collect` still gets them all, sorted.  paper: follow
     the two-step ultrafilter/patch construction; on finite models its second
     step eventually demands an ultrafilter of the set sort free of
     independent sets, which no principal ultrafilter is, and that failure
@@ -409,9 +413,10 @@ def exists_survives(m: AgsModel, depth: int, strategy: str = "exhaustive",
         if visited > max_visits:
             raise _BudgetExceeded()
         result = (True, None)
+        ordered = d > 1 or collect is not None  # at d == 1 any response wins
         for move in forall_moves(m, net):
             found = False
-            for resp in exists_responses(m, net, move):
+            for resp in exists_responses(m, net, move, ordered=ordered):
                 if collect is not None and resp is not net:
                     collect.append(resp)
                 if survives(resp, d - 1)[0]:
@@ -538,6 +543,10 @@ def network_from_json(data: dict, n: int, natoms: int) -> UfNetwork:
         t = tuple(int(part) for part in key.split(","))
         if len(t) != n:
             raise ValueError(f"label key {key!r} has wrong arity")
+        if not set(t) <= set(data["nodes"]):
+            raise ValueError(f"label key {key!r} names a node outside 'nodes'")
+        if t in labels:
+            raise ValueError(f"label key {key!r} names the tuple {t} a second time")
         if type(value) is not int or not 0 <= value < natoms:
             raise ValueError(f"label {value!r} at {key!r} is no atom index below {natoms}")
         labels[t] = value

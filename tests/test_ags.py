@@ -3,8 +3,9 @@ import random
 import pytest
 
 from graphbao import ags
+from graphbao.atoms import all_sigmas, subst_atom
 from graphbao.bitset import iter_bits
-from graphbao.graph import Graph, chromatic_number, cycle_graph, path_graph
+from graphbao.graph import Graph, chromatic_number, complete_graph, cycle_graph, path_graph
 from oracles import (cyl_relatedness_pairwise, proj_per_bit, theta_by_cover_search,
                      theta_literal, with_cyl_classes)
 
@@ -167,6 +168,27 @@ class TestSubstitutionSuite:
 
     def test_k2(self, k2_model):
         assert ags.check_substitution_properties(k2_model, seed=1, samples=40).ok
+
+    @pytest.mark.parametrize("graph, n", [(complete_graph(1), 3), (complete_graph(2), 3),
+                                          (complete_graph(1), 4)], ids=["K1n3", "K2n3", "K1n4"])
+    def test_preimage_masks_match_subst_atom(self, graph, n):
+        # derived from the atom action itself, not from subst_tables
+        m = ags.build_model(graph, n)
+        atoms = m.structure.atoms
+        expected = []
+        for sigma in all_sigmas(n):
+            row = [0] * len(atoms)
+            for x, atom in enumerate(atoms):
+                row[m.structure.index_of(subst_atom(atom, sigma))] |= 1 << x
+            expected.append(row)
+        assert [list(row) for row in m.preimage_masks] == expected
+        everything = (1 << len(atoms)) - 1
+        for row in m.preimage_masks:
+            union = 0
+            for mask in row:
+                assert not union & mask
+                union |= mask
+            assert union == everything
 
 
 class TestTheta:

@@ -260,6 +260,17 @@ class TestNetAndGameVerbs:
             assert err.startswith("error:") and str(label) in err
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("labels, named", [
+        ({"0,0,0": 0, "5,5,5": 3}, "'5,5,5'"),   # a node outside 'nodes'
+        ({"0,0,0": 5, " 0,0,0": 0}, "' 0,0,0'"),  # two keys for one tuple
+    ])
+    def test_net_validate_rejects_bad_label_keys(self, capsys, tmp_path, labels, named):
+        net_file = tmp_path / "net.json"
+        net_file.write_text(json.dumps({"nodes": [0], "labels": labels}))
+        code, out, err = run_cli(capsys, "net", "validate", "--graph", "K1", str(net_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and named in err and err.count("\n") == 1
+
     def test_net_validate_rejects_malformed_documents(self, capsys, tmp_path):
         for document in ({"n": 3, "nodes": 5, "labels": {"0,0,0": 0}},
                          [{"0,0,0": 0}],

@@ -1,10 +1,12 @@
 """Property test: `net validate` and `net boundary` on arbitrary network JSON
 exit 0, 1 or 2 with at most one error line and never a traceback, and
-agree on the exit code (the boundary of a valid network is defined)."""
+agree on the exit code (the boundary of a valid network is defined); on
+exit 0 the label keys name every tuple of the nodes once."""
 
 import contextlib
 import copy
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -67,6 +69,8 @@ def run(*argv):
 @hypothesis.settings(max_examples=150, deadline=None, database=None)
 @hypothesis.example(NETWORKS[-1])
 @hypothesis.example({"n": 3, "nodes": [0, 0, 0, 0], "labels": {"0,0,0": 0}})
+@hypothesis.example({"nodes": [0], "labels": {"0,0,0": 0, "5,5,5": 3}})
+@hypothesis.example({"nodes": [0], "labels": {"0,0,0": 5, " 0,0,0": 0}})
 @hypothesis.given(JSON_VALUES | SHAPED | mutated_networks())
 def test_net_verbs_exit_cleanly_on_any_document(document):
     with tempfile.TemporaryDirectory() as tmp:
@@ -81,3 +85,7 @@ def test_net_verbs_exit_cleanly_on_any_document(document):
                 assert code in (0, 1) and out and err == ""
             codes.add(code)
         assert len(codes) == 1
+        if codes == {0}:
+            # a valid network labels each tuple of its nodes exactly once
+            keys = [tuple(map(int, key.split(","))) for key in document["labels"]]
+            assert sorted(keys) == sorted(itertools.product(document["nodes"], repeat=3))

@@ -268,19 +268,40 @@ class TestExistsSurvives:
             assert oracle == {n.key() for n in
                               pruned_game_responses(k1_model, net, triple)}
 
-    def test_response_sets_from_two_nodes_match_pruned_oracle(self, k1_model):
+    @pytest.fixture(scope="class")
+    def two_node_oracle(self, k1_model):
+        """A 2-node K1 network, and per move its pruned-oracle response keys."""
         net = initial_network(k1_model)
         net = next(resp for move in forall_moves(k1_model, net)
                    for resp in exists_responses(k1_model, net, move)
                    if len(resp.nodes) == 2)
-        moves = forall_moves(k1_model, net)
-        assert len(moves) == 168
-        for move in moves:
+        return net, [(move, {n.key() for n in pruned_game_responses(
+            k1_model, net, (move.v, move.i, move.atom))}) for move in forall_moves(k1_model, net)]
+
+    def test_response_sets_from_two_nodes_match_pruned_oracle(self, k1_model, two_node_oracle):
+        net, oracle_sets = two_node_oracle
+        assert len(oracle_sets) == 168
+        for move, oracle in oracle_sets:
             engine = [n.key() for n in exists_responses(k1_model, net, move)]
-            oracle = pruned_game_responses(k1_model, net,
-                                           (move.v, move.i, move.atom))
             assert len(engine) == len(set(engine))
-            assert set(engine) == {n.key() for n in oracle}
+            assert set(engine) == oracle
+
+    @pytest.mark.parametrize("name, depth", [("k1_model", 1), ("k1_model", 2),
+                                             ("k2_model", 2)])
+    def test_last_round_answer_matches_full_enumeration(self, name, depth, request):
+        # collect forces the sorted enumeration at every round
+        m = request.getfixturevalue(name)
+        fast, full = exists_survives(m, depth), exists_survives(m, depth, collect=[])
+        assert (fast.status, fast.visited, fast.trace) == (full.status, full.visited, full.trace)
+
+    def test_last_round_response_from_two_nodes_in_pruned_oracle(self, k1_model,
+                                                                 two_node_oracle):
+        # the one response the last round asks for
+        net, oracle_sets = two_node_oracle
+        for move, oracle in oracle_sets:
+            first = next(exists_responses(k1_model, net, move, ordered=False), None)
+            assert (first is None) == (not oracle)
+            assert first is None or first.key() in oracle
 
     def test_response_sets_from_three_nodes_match_pruned_oracle(self, k1_model):
         # 4-node extensions: three new maximal node subsets, which overlap
