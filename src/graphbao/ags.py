@@ -296,7 +296,14 @@ def _vertex_set_samples(m: AgsModel):
 
 
 def check_substitution_properties(m: AgsModel, seed: int = 1, samples: int = 200) -> Report:
-    """Substitution identities; concrete items exhaustive over all maps."""
+    """Substitution identities; concrete items exhaustive over all maps.
+
+    Every item makes one s_many call per map over all the elements that map
+    is applied to.  Random elements are drawn before the calls that use
+    them, in the order of the per-element loops that
+    tests/oracles.substitution_properties_per_element keeps as the
+    reference, so both read the same elements.
+    """
     rng = random.Random(seed)
     A = m.algebra
     n = m.n
@@ -304,62 +311,68 @@ def check_substitution_properties(m: AgsModel, seed: int = 1, samples: int = 200
     pool = A.bias_pool()
     sigmas = all_sigmas(n)
 
+    def draw(count: int) -> list[int]:
+        return [A.sample_element(rng, pool) for _ in range(count)]
+
+    pairs = [draw(2) for _ in range(samples)]
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
     ok = True
-    for _ in range(samples):
-        x = A.sample_element(rng, pool)
-        y = A.sample_element(rng, pool)
-        for sigma in sigmas:
-            if A.s(sigma, A.neg(x)) != A.neg(A.s(sigma, x)):
-                ok = False
-            if A.s(sigma, x | y) != A.s(sigma, x) | A.s(sigma, y):
-                ok = False
+    for sigma in sigmas:
+        images = A.s_many(sigma, xs + ys + [A.neg(x) for x in xs] + [x | y for x, y in pairs])
+        sx, sy, sneg, sjoin = (images[k * samples:(k + 1) * samples] for k in range(4))
+        if sneg != list(map(A.neg, sx)) or sjoin != list(map(int.__or__, sx, sy)):
+            ok = False
     report.add("substitutions are boolean endomorphisms", ok)
 
+    xs = draw(max(1, samples // 20))
+    moved = {rho: A.s_many(rho, xs) for rho in sigmas}
     ok = True
-    for _ in range(max(1, samples // 20)):
-        x = A.sample_element(rng, pool)
-        for sigma in sigmas:
-            for tau in sigmas:
-                if A.s(compose_sigma(sigma, tau), x) != A.s(sigma, A.s(tau, x)):
-                    ok = False
+    for sigma in sigmas:
+        # s_sigma(s_tau x) against s_(sigma o tau) x, for every tau and x at once
+        if (A.s_many(sigma, [e for tau in sigmas for e in moved[tau]])
+                != [e for tau in sigmas for e in moved[compose_sigma(sigma, tau)]]):
+            ok = False
     report.add("substitution composes contravariantly", ok)
 
-    ok = all(A.s(sigma, A.d(i, j)) == A.d(sigma[i], sigma[j])
-             for sigma in sigmas for i in range(n) for j in range(n))
+    diagonals = [(i, j) for i in range(n) for j in range(n)]
+    ok = all(A.s_many(sigma, [A.d(i, j) for i, j in diagonals])
+             == [A.d(sigma[i], sigma[j]) for i, j in diagonals] for sigma in sigmas)
     report.add("substituted diagonals", ok)
 
     ok = True
+    sims = all_partitions(n)
     for sigma in sigmas:
-        for sim in all_partitions(n):
-            if A.d_partition(sim) & ~A.s(sigma, A.d_partition(subst_partition(sim, sigma))):
-                ok = False
+        grown = A.s_many(sigma, [A.d_partition(subst_partition(sim, sigma)) for sim in sims])
+        if any(A.d_partition(sim) & ~g for sim, g in zip(sims, grown)):
+            ok = False
     report.add("partition constants grow along substitution", ok)
 
     ok = True
     for sigma in sigmas:
-        for i in range(n):
-            j = missed_coordinate(sigma, i)
-            if j is None:
-                continue
-            if A.s(sigma, A.dist_element(i)) != A.dist_element(j):
-                ok = False
-            for _ in range(max(1, samples // 40)):
-                a = A.sample_element(rng, pool)
-                if m.proj(j, A.s(sigma, a)) & ~m.proj(i, a):
-                    ok = False
+        missed = [(i, j) for i in range(n) if (j := missed_coordinate(sigma, i)) is not None]
+        cases = [(i, j, a) for i, j in missed for a in draw(max(1, samples // 40))]
+        images = A.s_many(sigma, [A.dist_element(i) for i, _ in missed]
+                          + [a for _, _, a in cases])
+        if images[:len(missed)] != [A.dist_element(j) for _, j in missed]:
+            ok = False
+        if any(m.proj(j, sa) & ~m.proj(i, a)
+               for (i, j, a), sa in zip(cases, images[len(missed):])):
+            ok = False
     report.add("projection shrinks along substitution", ok)
 
     ok = True
     for sigma in sigmas:
-        for _ in range(max(1, samples // 20)):
-            a = A.sample_element(rng, pool)
-            for i in range(n):
-                if i not in sigma and A.c(i, A.s(sigma, a)) != A.s(sigma, a):
-                    ok = False
-            if len(set(sigma)) == n:
-                for i in range(n):
-                    if A.c(sigma[i], A.s(sigma, a)) != A.s(sigma, A.c(i, a)):
-                        ok = False
+        elems = draw(max(1, samples // 20))
+        injective = len(set(sigma)) == n
+        cyls = [A.c(i, a) for a in elems for i in range(n)] if injective else []
+        images = A.s_many(sigma, elems + cyls)
+        for k, sa in enumerate(images[:len(elems)]):
+            if any(A.c(i, sa) != sa for i in range(n) if i not in sigma):
+                ok = False
+            if injective and any(A.c(sigma[i], sa) != images[len(elems) + k * n + i]
+                                 for i in range(n)):
+                ok = False
     report.add("cylindrifications move through substitution", ok)
     return report
 

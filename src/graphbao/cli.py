@@ -69,14 +69,29 @@ def builtin_graphs(name: str) -> Graph:
     raise KeyError(f"unknown builtin graph {name!r}")
 
 
+def _refuse_repeated_keys(pairs: list) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r} in a JSON object")
+        out[key] = value
+    return out
+
+
+def load_json(path: str):
+    """The JSON document in the file; ValueError on a repeated object key,
+    which json.load would resolve silently to the last value."""
+    with open(path) as handle:
+        return json.load(handle, object_pairs_hook=_refuse_repeated_keys)
+
+
 def load_graph(value: str) -> Graph:
     try:
         return builtin_graphs(value)
     except KeyError:
         pass
     if os.path.exists(value):
-        with open(value) as handle:
-            return graph_from_json(json.load(handle))
+        return graph_from_json(load_json(value))
     raise FileNotFoundError(f"{value!r} is neither a builtin graph nor a file")
 
 
@@ -92,8 +107,7 @@ def load_config(args) -> dict:
     config = dict(DEFAULTS)
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if path:
-        with open(path) as handle:
-            overrides = json.load(handle)
+        overrides = load_json(path)
         if not isinstance(overrides, dict):
             raise ValueError(f"config file {path!r} must hold a JSON object")
         for key in overrides:
@@ -119,7 +133,9 @@ def load_config(args) -> dict:
 
 
 def emit(report: Report, config: dict) -> None:
-    report.config = {**config, "version": __version__}
+    # the run's config replaces the report's, except for a note on how it ran
+    notes = {key: report.config[key] for key in ("subalgebra",) if key in report.config}
+    report.config = {**config, **notes, "version": __version__}
     if config["output"] == "json":
         print(report.to_json())
     else:
@@ -260,9 +276,8 @@ def cmd_ags(args, config) -> int:
 def cmd_net(args, config) -> int:
     g = load_graph(args.graph)
     model = ags_mod.build_model(g, config["n"], atom_bound=config["atom_bound"])
-    with open(args.network) as handle:
-        net = networks.network_from_json(json.load(handle), config["n"],
-                                         model.algebra.natoms)
+    net = networks.network_from_json(load_json(args.network), config["n"],
+                                     model.algebra.natoms)
     report = Report("network-validation")
     # the boundary of an invalid network is undefined: report why instead
     violations = networks.validate_network(net, model, args.mode)
@@ -317,8 +332,7 @@ def cmd_dual(args, config) -> int:
         emit(report, config)
         return 0 if report.ok else 1
     if args.dual_cmd == "check-chain":
-        with open(args.chain) as handle:
-            chain = duality.chain_from_json(json.load(handle))
+        chain = duality.chain_from_json(load_json(args.chain))
         report = duality.check_chain(chain, config["n"], config["seed"],
                                      max_atoms=config["atom_bound"])
         emit(report, config)

@@ -140,8 +140,10 @@ def validate_embedding(emb: AlgebraEmbedding, seed: int = 1, samples: int = 1000
     Every image goes through the embedding's batched call, one gather pass
     per 8 elements, and no batch outlives its check: the atom preimages
     emb(1 << b) are read 8 atoms a call, their union and overlaps tracked as
-    they arrive, and each sample maps its 5 + n images x, y, x | y, -x,
-    c_0 x .. c_{n-1} x and s_sigma x in one call.
+    they arrive.  The samples are drawn first and grouped by their map
+    sigma; each maps its 5 + n images x, y, x | y, -x, c_0 x .. c_{n-1} x
+    and s_sigma x in one call, and the s_sigma(emb x) of a group come from
+    one s_many call.  Only one group's images are held at a time.
     """
     rng = random.Random(seed)
     dom, cod = emb.domain, emb.codomain
@@ -163,20 +165,26 @@ def validate_embedding(emb: AlgebraEmbedding, seed: int = 1, samples: int = 1000
     report.add("diagonal constants preserved", consts)
 
     pool = dom.bias_pool()
-    ok_bool = ok_cyl = ok_sub = True
     sigmas = all_sigmas(dom.n)
+    drawn: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for _ in range(samples):
         x = dom.sample_element(rng, pool)
         y = dom.sample_element(rng, pool)
-        sigma = sigmas[rng.randrange(len(sigmas))]
-        ex, ey, ejoin, eneg, *ecyl, esub = emb.many(
-            [x, y, x | y, dom.neg(x)] + [dom.c(i, x) for i in range(dom.n)]
-            + [dom.s(sigma, x)])
-        if ejoin != ex | ey or eneg != cod.neg(ex):
-            ok_bool = False
-        if any(e != cod.c(i, ex) for i, e in enumerate(ecyl)):
-            ok_cyl = False
-        if esub != cod.s(sigma, ex):
+        drawn.setdefault(sigmas[rng.randrange(len(sigmas))], []).append((x, y))
+    ok_bool = ok_cyl = ok_sub = True
+    for sigma, pairs in drawn.items():
+        exs, esubs = [], []
+        for x, y in pairs:
+            ex, ey, ejoin, eneg, *ecyl, esub = emb.many(
+                [x, y, x | y, dom.neg(x)] + [dom.c(i, x) for i in range(dom.n)]
+                + [dom.s(sigma, x)])
+            if ejoin != ex | ey or eneg != cod.neg(ex):
+                ok_bool = False
+            if any(e != cod.c(i, ex) for i, e in enumerate(ecyl)):
+                ok_cyl = False
+            exs.append(ex)
+            esubs.append(esub)
+        if cod.s_many(sigma, exs) != esubs:
             ok_sub = False
     report.add("boolean operations preserved (sampled)", ok_bool)
     report.add("cylindrifications preserved (sampled)", ok_cyl)

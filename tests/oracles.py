@@ -5,11 +5,14 @@ from __future__ import annotations
 import copy
 import heapq
 import itertools
+import random
 from dataclasses import replace
 
-from graphbao.atoms import Atom, all_sigmas, restrict_partition, subst_atom
+from graphbao.atoms import (Atom, all_partitions, all_sigmas, compose_sigma, missed_coordinate,
+                            restrict_partition, subst_atom, subst_partition)
 from graphbao.bao import FiniteBao, RelStructure
 from graphbao.bitset import iter_bits
+from graphbao.equations import Verdict, equation_holds_at
 from graphbao.errors import InfeasibleError, SizeLimitError
 from graphbao.graph import Graph, inflate
 from graphbao.networks import UfNetwork
@@ -268,6 +271,94 @@ def generated_subalgebra_closure(algebra, gens, bound: int = 4096) -> list[int]:
                 if len(elems) > bound:
                     raise SizeLimitError(f"subalgebra exceeds bound {bound}")
     return sorted(elems)
+
+
+def check_equation_per_assignment(algebra, eq, elements) -> Verdict:
+    """check_equation_on_subuniverse one assignment at a time through
+    eval_term, in itertools.product order."""
+    variables = sorted(eq.variables())
+    if not variables:
+        ok = equation_holds_at(algebra, eq, {})
+        return Verdict(ok, "subalgebra", 1, None if ok else {})
+    if len(elements) ** len(variables) > 10 ** 6:
+        raise InfeasibleError("subuniverse assignment space too large")
+    checked = 0
+    for values in itertools.product(elements, repeat=len(variables)):
+        checked += 1
+        env = dict(zip(variables, values))
+        if not equation_holds_at(algebra, eq, env):
+            return Verdict(False, "subalgebra", checked,
+                           {f"x{v}": hex(env[v]) for v in variables})
+    return Verdict(True, "subalgebra", checked)
+
+
+def substitution_properties_per_element(m, seed: int = 1, samples: int = 200) -> Report:
+    """ags.check_substitution_properties one s call per element and map."""
+    rng = random.Random(seed)
+    A = m.algebra
+    n = m.n
+    report = Report("substitutions", {"seed": seed, "samples": samples})
+    pool = A.bias_pool()
+    sigmas = all_sigmas(n)
+
+    ok = True
+    for _ in range(samples):
+        x = A.sample_element(rng, pool)
+        y = A.sample_element(rng, pool)
+        for sigma in sigmas:
+            if A.s(sigma, A.neg(x)) != A.neg(A.s(sigma, x)):
+                ok = False
+            if A.s(sigma, x | y) != A.s(sigma, x) | A.s(sigma, y):
+                ok = False
+    report.add("substitutions are boolean endomorphisms", ok)
+
+    ok = True
+    for _ in range(max(1, samples // 20)):
+        x = A.sample_element(rng, pool)
+        for sigma in sigmas:
+            for tau in sigmas:
+                if A.s(compose_sigma(sigma, tau), x) != A.s(sigma, A.s(tau, x)):
+                    ok = False
+    report.add("substitution composes contravariantly", ok)
+
+    ok = all(A.s(sigma, A.d(i, j)) == A.d(sigma[i], sigma[j])
+             for sigma in sigmas for i in range(n) for j in range(n))
+    report.add("substituted diagonals", ok)
+
+    ok = True
+    for sigma in sigmas:
+        for sim in all_partitions(n):
+            if A.d_partition(sim) & ~A.s(sigma, A.d_partition(subst_partition(sim, sigma))):
+                ok = False
+    report.add("partition constants grow along substitution", ok)
+
+    ok = True
+    for sigma in sigmas:
+        for i in range(n):
+            j = missed_coordinate(sigma, i)
+            if j is None:
+                continue
+            if A.s(sigma, A.dist_element(i)) != A.dist_element(j):
+                ok = False
+            for _ in range(max(1, samples // 40)):
+                a = A.sample_element(rng, pool)
+                if m.proj(j, A.s(sigma, a)) & ~m.proj(i, a):
+                    ok = False
+    report.add("projection shrinks along substitution", ok)
+
+    ok = True
+    for sigma in sigmas:
+        for _ in range(max(1, samples // 20)):
+            a = A.sample_element(rng, pool)
+            for i in range(n):
+                if i not in sigma and A.c(i, A.s(sigma, a)) != A.s(sigma, a):
+                    ok = False
+            if len(set(sigma)) == n:
+                for i in range(n):
+                    if A.c(sigma[i], A.s(sigma, a)) != A.s(sigma, A.c(i, a)):
+                        ok = False
+    report.add("cylindrifications move through substitution", ok)
+    return report
 
 
 def atom_columns(elements, natoms: int) -> list[tuple[str, ...]]:

@@ -1,13 +1,15 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from graphbao import ags
-from graphbao.atoms import all_sigmas, subst_atom
+from graphbao.atoms import all_sigmas, sigma_rank, subst_atom
+from graphbao.bao import FiniteBao
 from graphbao.bitset import iter_bits
 from graphbao.graph import Graph, chromatic_number, complete_graph, cycle_graph, path_graph
-from oracles import (cyl_relatedness_pairwise, proj_per_bit, theta_by_cover_search,
-                     theta_literal, with_cyl_classes)
+from oracles import (cyl_relatedness_pairwise, proj_per_bit, substitution_properties_per_element,
+                     theta_by_cover_search, theta_literal, with_cyl_classes)
 
 RELATEDNESS = "cylindric relatedness is diagonal agreement plus equal projection"
 
@@ -162,12 +164,54 @@ class TestProjectionSuite:
                                     (m.algebra.d(j, k) >> b & 1)
 
 
+def drawn_and_report(m, check, seed, samples):
+    """The elements check(m, seed, samples) draws, in order, and its report
+    without timing."""
+    algebra = m.algebra
+    sample, log = algebra.sample_element, []
+
+    def recording(rng, pool=None):
+        log.append(sample(rng, pool))
+        return log[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "sample_element", recording)
+        report = check(m, seed, samples)
+    return log, report.to_json(strip_timing=True)
+
+
 class TestSubstitutionSuite:
     def test_k1(self, k1_model):
         assert ags.check_substitution_properties(k1_model, seed=1, samples=60).ok
 
     def test_k2(self, k2_model):
         assert ags.check_substitution_properties(k2_model, seed=1, samples=40).ok
+
+    @pytest.mark.parametrize("seed, samples", [(1, 60), (41, 20), (3, 7)])
+    def test_matches_the_per_element_oracle(self, k2_model, seed, samples):
+        # same items and verdicts, and the same elements drawn in the same order
+        assert (drawn_and_report(k2_model, ags.check_substitution_properties, seed, samples)
+                == drawn_and_report(k2_model, substitution_properties_per_element, seed,
+                                    samples))
+
+    @pytest.mark.parametrize("sigma", [(2, 1, 0), (0, 0, 1)])
+    def test_swapped_composite_table_fails(self, k1_model, sigma):
+        # two entries of a map's table swapped: it is still an atom map, so
+        # only the composition law can tell
+        rel = k1_model.algebra.rel
+        rank = sigma_rank(3)[sigma]
+        table = list(rel.subst_tables[rank])
+        a = 0
+        b = next(x for x in range(len(table)) if table[x] != table[a])
+        table[a], table[b] = table[b], table[a]
+        tables = rel.subst_tables[:rank] + (tuple(table),) + rel.subst_tables[rank + 1:]
+        broken = ags.AgsModel(FiniteBao(replace(rel, subst_tables=tables)),
+                              k1_model.structure, k1_model.base_graph, 3)
+        report = ags.check_substitution_properties(broken, seed=1, samples=60)
+        failing = {item.name for item in report.items if item.status != "pass"}
+        assert "substitution composes contravariantly" in failing
+        oracle = substitution_properties_per_element(broken, seed=1, samples=60)
+        assert failing == {item.name for item in oracle.items if item.status != "pass"}
 
     @pytest.mark.parametrize("graph, n", [(complete_graph(1), 3), (complete_graph(2), 3),
                                           (complete_graph(1), 4)], ids=["K1n3", "K2n3", "K1n4"])

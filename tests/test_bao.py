@@ -7,15 +7,15 @@ from graphbao.atoms import (all_partitions, all_sigmas, compose_sigma,
                             enumerate_atoms, subst_atom)
 from graphbao.bao import SIGNATURES, FiniteBao, complex_algebra, subst_generators
 from graphbao.bitset import read_map
-from graphbao.equations import (Equation, check_ca_axioms, check_discriminator,
+from graphbao.equations import (Equation, ca_axioms, check_ca_axioms, check_discriminator,
                                 check_equation_on_subuniverse, check_equation_sampled,
-                                check_pea_axioms, eval_term, parse_equations,
-                                UnboundVariableError)
+                                check_pea_axioms, eval_term, parse_equations, pea_axioms,
+                                pick_subalgebra, UnboundVariableError)
 from graphbao.errors import SizeLimitError
 from graphbao.graph import complete_graph, cycle_graph, path_graph
-from oracles import (atom_columns, corrupt_cyl_table, cyl_equiv, cyl_per_bit,
-                     direct_subst_tables, generated_subalgebra_closure, read_map_by_singletons,
-                     subst_columns)
+from oracles import (atom_columns, check_equation_per_assignment, corrupt_cyl_table,
+                     cyl_equiv, cyl_per_bit, direct_subst_tables, generated_subalgebra_closure,
+                     read_map_by_singletons, subst_columns)
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +232,44 @@ class TestCheckEquation:
         with pytest.raises(SizeLimitError):
             check_equation_on_subuniverse(a_k1, Equation("triv", ("var", 0), ("var", 0)),
                                           a_k1.generated_subalgebra((1 << 3, 1 << 20)))
+
+
+X, Y, Z = ("var", 0), ("var", 1), ("var", 2)
+# each fails on the constants-only subalgebra; (x * y) * z = 0 holds on the
+# first 1,024 assignments (x = 0), so its first failure is in a later column
+FAILING = [Equation("c0x=x", ("cyl", 0, X), X),
+           Equation("x+y=x", ("join", X, Y), X),
+           Equation("s(x)*y=y", ("meet", ("sub", (1, 1, 2), X), Y), Y),
+           Equation("xyz=0", ("meet", ("meet", X, Y), Z), ("zero",)),
+           Equation("c1(x*-y)+z=z", ("join", ("cyl", 1, ("meet", X, ("neg", Y))), Z), Z)]
+
+
+class TestColumnTier:
+    """check_equation_on_subuniverse against the per-assignment loop."""
+
+    @pytest.mark.parametrize("graph", ["K1", "P3"])
+    @pytest.mark.parametrize("signature", ["CA", "PEA"])
+    def test_every_axiom_instance_matches_the_oracle(self, a_k1, p3_algebra, graph,
+                                                     signature):
+        base = a_k1 if graph == "K1" else p3_algebra
+        algebra = FiniteBao(base.rel, signature)
+        sub = pick_subalgebra(algebra, random.Random(41))
+        assert len(sub) == 32
+        eqs = ca_axioms(3) if signature == "CA" else pea_axioms(3)
+        assert [check_equation_on_subuniverse(algebra, eq, sub) for eq in eqs] == \
+            [check_equation_per_assignment(algebra, eq, sub) for eq in eqs]
+
+    @pytest.mark.parametrize("eq", FAILING, ids=lambda eq: eq.name)
+    def test_failing_equations_match_the_oracle(self, p3_algebra, eq):
+        sub = p3_algebra.generated_subalgebra(())
+        verdict = check_equation_on_subuniverse(p3_algebra, eq, sub)
+        assert not verdict.holds
+        assert verdict == check_equation_per_assignment(p3_algebra, eq, sub)
+
+    def test_first_failure_in_a_later_column(self, p3_algebra):
+        verdict = check_equation_on_subuniverse(p3_algebra, FAILING[3],
+                                                p3_algebra.generated_subalgebra(()))
+        assert verdict.checked > 1024
 
 
 class TestAxiomSuites:

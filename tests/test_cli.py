@@ -139,6 +139,14 @@ class TestBaoVerbs:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "more than" in err and err.count("\n") == 1
 
+    def test_check_keeps_the_unavailable_subalgebra_marker(self, capsys):
+        # at n = 4 even the constants-only subalgebra overflows the cap
+        code, out, _ = run_cli(capsys, "bao", "check", "K1", "--n", "4", "--axioms", "ca",
+                               "--samples", "20", "--output", "json")
+        data = json.loads(out)
+        assert code == 0 and data["config"]["subalgebra"] == "unavailable"
+        assert {item["detail"]["mode"] for item in data["items"]} == {"sampled"}
+
     def test_check_pea(self, capsys):
         code, out, _ = run_cli(capsys, "bao", "check", "--graph", "K1",
                                "--axioms", "pea", "--samples", "600", "--seed", "1")
@@ -444,6 +452,22 @@ class TestUsageErrors:
             code, out, err = run_cli(capsys, "graph", "chi", str(graph_file))
             assert code == 2 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, text", [
+        (("graph", "chi", "FILE"), '{"vertices": 2, "edges": [], "vertices": 3}'),
+        (("graph", "chi", "K1", "--config", "FILE"), '{"seed": 1, "seed": 2}'),
+        (("net", "validate", "FILE", "--graph", "K1"),
+         '{"nodes": [0], "labels": {"0,0,0": 5, "0,0,0": 0}}'),
+        (("dual", "check-chain", "FILE"),
+         '{"stages": [{"vertices": 1, "edges": []}], "steps": [], "steps": []}'),
+    ], ids=["graph", "config", "network", "chain"])
+    def test_repeated_json_key_is_usage_error(self, capsys, tmp_path, argv, text):
+        # json.load would keep the last value; every JSON input refuses instead
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *(str(path) if a == "FILE" else a for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: repeated key") and err.count("\n") == 1
 
     def test_internal_key_error_is_no_usage_error(self, capsys, tmp_path, monkeypatch):
         # only an unbound equation variable is a KeyError caused by user input
