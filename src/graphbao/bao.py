@@ -10,8 +10,8 @@ algebra can be compared exactly.
 
 Both operators are completely additive (Jonsson-Tarski), so each is read
 off its action on atoms: c_i(x) ORs the R_i-class masks that meet x, and
-s_sigma(x) gathers the bits of x through sigma's atom table in one C-level
-call (s_many gathers eight elements a call).  Only the tables of
+s_sigma(x) gathers the bits of x through sigma's atom table, eight elements
+per C-level call (s_many; s is its one-element case).  Only the tables of
 subst_generators(n) are built atom by atom; every other map is composed
 along table[sigma o tau][a] = table[tau][table[sigma][a]], the Scomp
 identity of Henkin-Monk-Tarski, Cylindric Algebras I.
@@ -31,7 +31,7 @@ from operator import itemgetter
 
 from .atoms import (AtomStructure, all_sigmas, compose_sigma, restrict_partition,
                     sigma_rank, subst_atom)
-from .bitset import gather, gather_many, read_map
+from .bitset import gather_many, read_map
 from .errors import SizeLimitError
 
 SIGNATURES = {
@@ -149,12 +149,10 @@ class FiniteBao:
 
     def s(self, sigma: tuple[int, ...], x: int) -> int:
         """Substitution: preimage of x under the atom action."""
-        if "s" not in self.ops:
-            raise ValueError(f"substitutions not in signature {self.signature}")
-        return gather(self.rel.subst_for(sigma), x, self.natoms)
+        return self.s_many(sigma, [x])[0]
 
     def s_many(self, sigma: tuple[int, ...], xs: list[int]) -> list[int]:
-        """[s(sigma, x) for x in xs], one gather pass per 8 elements."""
+        """The substitution of each of xs, one gather pass per 8 elements."""
         if "s" not in self.ops:
             raise ValueError(f"substitutions not in signature {self.signature}")
         return gather_many(self.rel.subst_for(sigma), xs, self.natoms)

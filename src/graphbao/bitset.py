@@ -1,8 +1,9 @@
 """Helpers for int-backed bitsets. Bit k of a mask stands for item k.
 
-An atom map f: range(nsrc) -> range(ntgt) acts on bitsets by preimage:
-gather(f, x, ntgt) is {a : f(a) in x}.  read_map inverts that, recovering f
-from any callable that computes its preimages.
+An atom map f: range(nsrc) -> range(ntgt) acts on bitsets by preimage: the
+gather of x through f's table is {a : f(a) in x}.  gather_many computes it
+for a list of elements, and read_map inverts it, recovering f from any
+callable that computes its preimages.
 
 gather_many moves up to 8 elements per itemgetter pass through a lane
 string: byte b of the string holds bit b of the j-th element as its bit j
@@ -48,19 +49,6 @@ def mask_of(indices: Iterable[int]) -> int:
     return out
 
 
-def gather(table: Sequence[int], x: int, width: int) -> int:
-    """Bit a of the result is bit table[a] of x, for a < len(table).
-
-    width is at least x's bit length and every table entry; the gather is
-    one C-level itemgetter call over the bit string of x.
-    """
-    if len(table) < 2:
-        # itemgetter of no index raises, and of one returns a bare item
-        return x >> table[0] & 1 if table else 0
-    bits = format(x, f"0{width}b")[::-1]  # bits[b] is bit b of x
-    return int("".join(itemgetter(*table)(bits))[::-1], 2)
-
-
 def _lanes(xs: Sequence[int], width: int) -> bytes:
     """width bytes, byte b holding bit b of xs[j] as its bit j (len(xs) <= 8)."""
     acc = 0
@@ -79,14 +67,17 @@ def _transpose_masks(words: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def gather_many(table: Sequence[int], xs: Sequence[int], width: int) -> list[int]:
-    """[gather(table, x, width) for x in xs], one itemgetter pass per 8 elements.
+    """Per element x of xs, the set whose bit a is bit table[a] of x, for
+    a < len(table); width is at least every x's bit length and every table
+    entry.  One itemgetter pass per 8 elements.
 
     Each chunk of 8 is packed into one lane string, gathered, transposed
     word by word and read back lane by lane; nothing is kept from one chunk
     to the next.
     """
     if len(table) < 2:
-        return [gather(table, x, width) for x in xs]
+        # itemgetter of no index raises, and of one returns a bare item
+        return [x >> table[0] & 1 if table else 0 for x in xs]
     get = itemgetter(*table)
     words = -(-len(table) // 8)
     rounds = _transpose_masks(words)

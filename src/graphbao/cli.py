@@ -232,6 +232,8 @@ def cmd_bao(args, config) -> int:
         else:
             with open(args.axioms) as handle:
                 eqs = equations.parse_equations(handle.read(), algebra.n)
+            if not eqs:
+                raise ValueError(f"{args.axioms!r} holds no equation to check")
             report = equations.check_axiom_suite(algebra, eqs, config["seed"],
                                                  config["sample_count"])
         emit(report, config)
@@ -508,7 +510,7 @@ def main(argv=None) -> int:
         # the reader of stdout went away (say `| head`): drop what is left
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (SizeLimitError, InfeasibleError, FileNotFoundError, ValueError) as exc:
+    except (SizeLimitError, InfeasibleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from operator import itemgetter
 from .atoms import (Atom, AtomStructure, all_sigmas, atom_is_valid, enumerate_atoms,
                     DEFAULT_ATOM_BOUND)
 from .bao import FiniteBao, complex_algebra
-from .bitset import gather, gather_many, read_map
+from .bitset import gather_many, read_map
 from .graph import (Graph, VertexMap, chromatic_number, compose_maps, graph_from_json,
                     graph_to_json, is_p_morphism, is_surjective)
 from .report import Report
@@ -121,10 +121,10 @@ class AlgebraEmbedding:
     mapping: tuple[int, ...]  # [codomain atom] -> domain atom
 
     def __call__(self, element: int) -> int:
-        return gather(self.mapping, element, self.domain.natoms)
+        return self.many([element])[0]
 
     def many(self, elements: list[int]) -> list[int]:
-        """[self(x) for x in elements], one gather pass per 8 elements."""
+        """The preimage of each element, one gather pass per 8 elements."""
         return gather_many(self.mapping, elements, self.domain.natoms)
 
 
@@ -140,10 +140,11 @@ def validate_embedding(emb: AlgebraEmbedding, seed: int = 1, samples: int = 1000
     Every image goes through the embedding's batched call, one gather pass
     per 8 elements, and no batch outlives its check: the atom preimages
     emb(1 << b) are read 8 atoms a call, their union and overlaps tracked as
-    they arrive.  The samples are drawn first and grouped by their map
-    sigma; each maps its 5 + n images x, y, x | y, -x, c_0 x .. c_{n-1} x
-    and s_sigma x in one call, and the s_sigma(emb x) of a group come from
-    one s_many call.  Only one group's images are held at a time.
+    they arrive, and the unit, zero and diagonals are mapped in one call.
+    The samples are drawn first and grouped by their map sigma; each maps
+    its 5 + n images x, y, x | y, -x, c_0 x .. c_{n-1} x and s_sigma x in
+    one call, and the s_sigma x and s_sigma(emb x) of a group come from one
+    s_many call each.  Only one group's images are held at a time.
     """
     rng = random.Random(seed)
     dom, cod = emb.domain, emb.codomain
@@ -159,10 +160,11 @@ def validate_embedding(emb: AlgebraEmbedding, seed: int = 1, samples: int = 1000
     report.add("atom preimages nonempty and disjoint", nonempty and disjoint
                and union == cod.top)
 
-    report.add("unit and zero preserved", emb(dom.top) == cod.top and emb(0) == 0)
-    consts = all(emb(dom.d(i, j)) == cod.d(i, j)
-                 for i in range(dom.n) for j in range(dom.n))
-    report.add("diagonal constants preserved", consts)
+    diagonals = [(i, j) for i in range(dom.n) for j in range(dom.n)]
+    unit, zero, *ediag = emb.many([dom.top, 0] + [dom.d(i, j) for i, j in diagonals])
+    report.add("unit and zero preserved", unit == cod.top and zero == 0)
+    report.add("diagonal constants preserved",
+               all(e == cod.d(i, j) for e, (i, j) in zip(ediag, diagonals)))
 
     pool = dom.bias_pool()
     sigmas = all_sigmas(dom.n)
@@ -174,10 +176,9 @@ def validate_embedding(emb: AlgebraEmbedding, seed: int = 1, samples: int = 1000
     ok_bool = ok_cyl = ok_sub = True
     for sigma, pairs in drawn.items():
         exs, esubs = [], []
-        for x, y in pairs:
+        for (x, y), sub in zip(pairs, dom.s_many(sigma, [x for x, _ in pairs])):
             ex, ey, ejoin, eneg, *ecyl, esub = emb.many(
-                [x, y, x | y, dom.neg(x)] + [dom.c(i, x) for i in range(dom.n)]
-                + [dom.s(sigma, x)])
+                [x, y, x | y, dom.neg(x)] + [dom.c(i, x) for i in range(dom.n)] + [sub])
             if ejoin != ex | ey or eneg != cod.neg(ex):
                 ok_bool = False
             if any(e != cod.c(i, ex) for i, e in enumerate(ecyl)):

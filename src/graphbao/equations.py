@@ -11,6 +11,11 @@ Equation files hold one schema per line:
 Index metavariables range over the dimension; `x`, `y`, `z` are element
 variables.  `#` starts a comment.  Schemas are instantiated over every index
 assignment satisfying the guards.
+
+Both checking tiers, sampled and exhaustive over a subalgebra, evaluate
+each side of an equation over a column of up to COLUMN_LENGTH assignments
+at once (eval_column), so a term costs one Python call per node and column,
+not per assignment.
 """
 
 from __future__ import annotations
@@ -34,10 +39,11 @@ SUBALGEBRA_GENERATORS = 3
 SUBALGEBRA_CAP = 316
 # random elements check_discriminator tries beyond its exhaustive atom check
 DISCRIMINATOR_SAMPLES = 200
-# assignments the exhaustive tier evaluates per pass: the last two variables
-# over a 32-element subalgebra.  Every join, meet and negation holds one new
-# big int per assignment, ~0.7 MB at peak on P3 (730 atoms), so the length is
-# fixed rather than grown with the subalgebra (316**2 would need ~12 MB a node)
+# assignments a tier evaluates per pass: in the exhaustive tier, the last two
+# variables over a 32-element subalgebra.  Every join, meet and negation holds
+# one new big int per assignment, ~0.7 MB at peak on P3 (730 atoms), so the
+# length is fixed rather than grown with the subalgebra (316**2 would need
+# ~12 MB a node)
 COLUMN_LENGTH = 1024
 
 
@@ -74,36 +80,6 @@ def term_variables(term: tuple) -> set[int]:
     if op in ("cyl", "sub"):
         return term_variables(term[2])
     return term_variables(term[1]) | term_variables(term[2])
-
-
-def eval_term(algebra: FiniteBao, term: tuple, env) -> int:
-    op = term[0]
-    if op == "var":
-        try:
-            return env[term[1]]
-        except KeyError:
-            raise UnboundVariableError(term[1]) from None
-    if op == "zero":
-        return 0
-    if op == "one":
-        return algebra.top
-    if op == "diag":
-        return algebra.d(term[1], term[2])
-    if op == "neg":
-        return algebra.neg(eval_term(algebra, term[1], env))
-    if op == "join":
-        return eval_term(algebra, term[1], env) | eval_term(algebra, term[2], env)
-    if op == "meet":
-        return eval_term(algebra, term[1], env) & eval_term(algebra, term[2], env)
-    if op == "cyl":
-        return algebra.c(term[1], eval_term(algebra, term[2], env))
-    if op == "sub":
-        return algebra.s(term[1], eval_term(algebra, term[2], env))
-    raise ValueError(f"unknown term operator {op!r}")
-
-
-def equation_holds_at(algebra: FiniteBao, eq: Equation, env) -> bool:
-    return eval_term(algebra, eq.lhs, env) == eval_term(algebra, eq.rhs, env)
 
 
 # parsing ------------------------------------------------------------------
@@ -277,30 +253,14 @@ def pea_axioms(n: int) -> list[Equation]:
 
 # checking -----------------------------------------------------------------
 
-def check_equation_sampled(algebra: FiniteBao, eq: Equation, count: int,
-                           rng: random.Random, pool=None) -> Verdict:
-    """Counterexamples are ground truth; 'holds' is probabilistic."""
-    variables = sorted(eq.variables())
-    pool = pool if pool is not None else algebra.bias_pool()
-    for trial in range(count):
-        env = {v: algebra.sample_element(rng, pool) for v in variables}
-        if not equation_holds_at(algebra, eq, env):
-            return Verdict(False, "sampled", trial + 1,
-                           {f"x{v}": hex(env[v]) for v in variables})
-        if not variables:
-            return Verdict(True, "sampled", 1)
-    return Verdict(True, "sampled", count)
-
-
 def eval_column(algebra: FiniteBao, term: tuple, columns: dict, length: int,
                 memo: dict) -> list[int]:
-    """[eval_term(algebra, term, env) for env in a column of assignments].
+    """The values of term at each of a column of `length` assignments.
 
-    columns maps each variable to its values, one per assignment, and length
-    is the number of assignments.  The boolean operators map over whole
-    columns; c_i and s_sigma are applied once to each distinct argument,
-    through memo[(op, index)], a dict from argument to image that the caller
-    keeps from one column to the next.
+    columns maps each variable to its values, one per assignment.  The
+    boolean operators map over whole columns; c_i and s_sigma are applied
+    once to each distinct argument, through memo[(op, index)], a dict from
+    argument to image that the caller may keep from one column to the next.
     """
     op = term[0]
     if op == "var":
@@ -308,8 +268,12 @@ def eval_column(algebra: FiniteBao, term: tuple, columns: dict, length: int,
             return columns[term[1]]
         except KeyError:
             raise UnboundVariableError(term[1]) from None
-    if op in ("zero", "one", "diag"):
-        return [eval_term(algebra, term, {})] * length
+    if op == "zero":
+        return [0] * length
+    if op == "one":
+        return [algebra.top] * length
+    if op == "diag":
+        return [algebra.d(term[1], term[2])] * length
     if op == "neg":
         return list(map(algebra.top.__xor__,
                         eval_column(algebra, term[1], columns, length, memo)))
@@ -329,34 +293,72 @@ def eval_column(algebra: FiniteBao, term: tuple, columns: dict, length: int,
     raise ValueError(f"unknown term operator {op!r}")
 
 
+def _check_columns(algebra: FiniteBao, eq: Equation, variables: list[int],
+                   passes, mode: str) -> Verdict:
+    """Both sides of eq over each (assignments, memo) pair of passes in turn.
+
+    assignments is a list of value tuples in the order of variables, and
+    memo is the eval_column memo to evaluate them with.  `checked` and the
+    counterexample are those of the first failing assignment in that order.
+    """
+    checked = 0
+    for assignments, memo in passes:
+        by_variable = dict(zip(variables, map(list, zip(*assignments))))
+        lhs = eval_column(algebra, eq.lhs, by_variable, len(assignments), memo)
+        rhs = eval_column(algebra, eq.rhs, by_variable, len(assignments), memo)
+        if lhs != rhs:
+            first = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            return Verdict(False, mode, checked + first + 1,
+                           {f"x{v}": hex(value)
+                            for v, value in zip(variables, assignments[first])})
+        checked += len(assignments)
+    return Verdict(True, mode, checked)
+
+
+def check_equation_sampled(algebra: FiniteBao, eq: Equation, count: int,
+                           rng: random.Random, pool=None) -> Verdict:
+    """Counterexamples are ground truth; 'holds' is probabilistic.
+
+    Each trial draws the variables in sorted order, and an equation without
+    variables takes one trial.  Trials are drawn and checked COLUMN_LENGTH at
+    a time, each column with a fresh memo, since random elements almost never
+    repeat.  After a failure at trial k the rng is rewound and k trials are
+    drawn again, so it stands where a trial-by-trial check stopping at trial
+    k leaves it.
+    """
+    variables = sorted(eq.variables())
+    pool = pool if pool is not None else algebra.bias_pool()
+    trials = count if variables else min(count, 1)
+    start = rng.getstate()
+
+    def draw(k: int) -> list[tuple[int, ...]]:
+        return [tuple(algebra.sample_element(rng, pool) for _ in variables)
+                for _ in range(k)]
+
+    passes = ((draw(min(COLUMN_LENGTH, trials - done)), {})
+              for done in range(0, trials, COLUMN_LENGTH))
+    verdict = _check_columns(algebra, eq, variables, passes, "sampled")
+    if not verdict.holds:
+        rng.setstate(start)
+        draw(verdict.checked)
+    return verdict
+
+
 def check_equation_on_subuniverse(algebra: FiniteBao, eq: Equation, elements) -> Verdict:
     """Exhaustive over every assignment of the variables in `elements`, up to
     10**6 assignments.
 
     The assignments are taken in itertools.product order, COLUMN_LENGTH at a
-    time, and both sides are evaluated over each such column at once
-    (eval_column); `checked` and the counterexample are those of the first
-    failing assignment in that order.
+    time, with one memo for all of them.
     """
     variables = sorted(eq.variables())
-    if not variables:
-        ok = equation_holds_at(algebra, eq, {})
-        return Verdict(ok, "subalgebra", 1, None if ok else {})
     if len(elements) ** len(variables) > 10 ** 6:
         raise InfeasibleError("subuniverse assignment space too large")
     assignments = itertools.product(elements, repeat=len(variables))
     memo: dict = {}
-    checked = 0
-    while chunk := list(itertools.islice(assignments, COLUMN_LENGTH)):
-        columns = dict(zip(variables, map(list, zip(*chunk))))
-        lhs = eval_column(algebra, eq.lhs, columns, len(chunk), memo)
-        rhs = eval_column(algebra, eq.rhs, columns, len(chunk), memo)
-        if lhs != rhs:
-            first = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-            return Verdict(False, "subalgebra", checked + first + 1,
-                           {f"x{v}": hex(value) for v, value in zip(variables, chunk[first])})
-        checked += len(chunk)
-    return Verdict(True, "subalgebra", checked)
+    chunks = iter(lambda: list(itertools.islice(assignments, COLUMN_LENGTH)), [])
+    return _check_columns(algebra, eq, variables,
+                          ((chunk, memo) for chunk in chunks), "subalgebra")
 
 
 def pick_subalgebra(algebra: FiniteBao, rng: random.Random) -> list[int]:

@@ -7,12 +7,13 @@ import heapq
 import itertools
 import random
 from dataclasses import replace
+from operator import itemgetter
 
 from graphbao.atoms import (Atom, all_partitions, all_sigmas, compose_sigma, missed_coordinate,
                             restrict_partition, subst_atom, subst_partition)
 from graphbao.bao import FiniteBao, RelStructure
 from graphbao.bitset import iter_bits
-from graphbao.equations import Verdict, equation_holds_at
+from graphbao.equations import UnboundVariableError, Verdict
 from graphbao.errors import InfeasibleError, SizeLimitError
 from graphbao.graph import Graph, inflate
 from graphbao.networks import UfNetwork
@@ -271,6 +272,64 @@ def generated_subalgebra_closure(algebra, gens, bound: int = 4096) -> list[int]:
                 if len(elems) > bound:
                     raise SizeLimitError(f"subalgebra exceeds bound {bound}")
     return sorted(elems)
+
+
+def gather(table, x: int, width: int) -> int:
+    """bitset.gather_many for one element: bit a of the result is bit
+    table[a] of x, read through x's bit string."""
+    if len(table) < 2:
+        return x >> table[0] & 1 if table else 0
+    bits = format(x, f"0{width}b")[::-1]  # bits[b] is bit b of x
+    return int("".join(itemgetter(*table)(bits))[::-1], 2)
+
+
+def eval_term(algebra, term: tuple, env) -> int:
+    """equations.eval_column at one assignment, by recursion on the term."""
+    op = term[0]
+    if op == "var":
+        try:
+            return env[term[1]]
+        except KeyError:
+            raise UnboundVariableError(term[1]) from None
+    if op == "zero":
+        return 0
+    if op == "one":
+        return algebra.top
+    if op == "diag":
+        return algebra.d(term[1], term[2])
+    if op == "neg":
+        return algebra.neg(eval_term(algebra, term[1], env))
+    if op == "join":
+        return eval_term(algebra, term[1], env) | eval_term(algebra, term[2], env)
+    if op == "meet":
+        return eval_term(algebra, term[1], env) & eval_term(algebra, term[2], env)
+    if op == "cyl":
+        return algebra.c(term[1], eval_term(algebra, term[2], env))
+    if op == "sub":
+        if "s" not in algebra.ops:
+            raise ValueError(f"substitutions not in signature {algebra.signature}")
+        return gather(algebra.rel.subst_for(term[1]), eval_term(algebra, term[2], env),
+                      algebra.natoms)
+    raise ValueError(f"unknown term operator {op!r}")
+
+
+def equation_holds_at(algebra, eq, env) -> bool:
+    return eval_term(algebra, eq.lhs, env) == eval_term(algebra, eq.rhs, env)
+
+
+def check_equation_sampled_per_trial(algebra, eq, count: int, rng, pool=None) -> Verdict:
+    """check_equation_sampled one trial at a time through eval_term, drawing
+    each trial's variables in sorted order and stopping at the first failure."""
+    variables = sorted(eq.variables())
+    pool = pool if pool is not None else algebra.bias_pool()
+    for trial in range(count):
+        env = {v: algebra.sample_element(rng, pool) for v in variables}
+        if not equation_holds_at(algebra, eq, env):
+            return Verdict(False, "sampled", trial + 1,
+                           {f"x{v}": hex(env[v]) for v in variables})
+        if not variables:
+            return Verdict(True, "sampled", 1)
+    return Verdict(True, "sampled", count)
 
 
 def check_equation_per_assignment(algebra, eq, elements) -> Verdict:

@@ -9,11 +9,12 @@ from graphbao.bao import SIGNATURES, FiniteBao, complex_algebra, subst_generator
 from graphbao.bitset import read_map
 from graphbao.equations import (Equation, ca_axioms, check_ca_axioms, check_discriminator,
                                 check_equation_on_subuniverse, check_equation_sampled,
-                                check_pea_axioms, eval_term, parse_equations, pea_axioms,
+                                check_pea_axioms, eval_column, parse_equations, pea_axioms,
                                 pick_subalgebra, UnboundVariableError)
 from graphbao.errors import SizeLimitError
 from graphbao.graph import complete_graph, cycle_graph, path_graph
-from oracles import (atom_columns, check_equation_per_assignment, corrupt_cyl_table,
+from oracles import (atom_columns, check_equation_per_assignment,
+                     check_equation_sampled_per_trial, corrupt_cyl_table,
                      cyl_equiv, cyl_per_bit, direct_subst_tables, generated_subalgebra_closure,
                      read_map_by_singletons, subst_columns)
 
@@ -156,6 +157,11 @@ def test_generators_reach_every_map(n):
     assert seen == set(all_sigmas(n))
 
 
+def eval_at(algebra, term, env):
+    """eval_column on the one-assignment column env."""
+    return eval_column(algebra, term, {v: [x] for v, x in env.items()}, 1, {})[0]
+
+
 class TestEvalAndTerms:
     def test_eval_examples(self, a_k1):
         # c_0 d_01 covers the atoms related to a diagonal atom, plus the set itself
@@ -166,24 +172,24 @@ class TestEvalAndTerms:
             if any(cyl_equiv(atom, other, 0) for j, other in enumerate(atoms)
                    if other.sim[0] == other.sim[1]):
                 direct |= 1 << idx
-        assert eval_term(a_k1, ("cyl", 0, ("diag", 0, 1)), {}) == expected == direct
+        assert eval_at(a_k1, ("cyl", 0, ("diag", 0, 1)), {}) == expected == direct
 
     def test_excluded_middle(self, a_k1):
         rng = random.Random(3)
         for _ in range(50):
             x = a_k1.sample_element(rng)
-            assert eval_term(a_k1, ("join", ("var", 0), ("neg", ("var", 0))),
-                             {0: x}) == a_k1.top
+            assert eval_at(a_k1, ("join", ("var", 0), ("neg", ("var", 0))),
+                           {0: x}) == a_k1.top
 
     def test_identity_substitution(self, a_k1):
         rng = random.Random(4)
         for _ in range(50):
             x = a_k1.sample_element(rng)
-            assert eval_term(a_k1, ("sub", (0, 1, 2), ("var", 0)), {0: x}) == x
+            assert eval_at(a_k1, ("sub", (0, 1, 2), ("var", 0)), {0: x}) == x
 
     def test_unbound_variable(self, a_k1):
         with pytest.raises(UnboundVariableError):
-            eval_term(a_k1, ("var", 5), {})
+            eval_at(a_k1, ("var", 5), {})
 
     def test_parser_round_trip(self):
         eqs = parse_equations("T forall i j | i!=j : (= (c i (d i j)) 1)", 3)
@@ -214,6 +220,26 @@ class TestCheckEquation:
             lhs = ("meet", ("diag", i, j), ("cyl", i, ("meet", ("diag", i, j), x)))
             eq = Equation("recover", ("meet", lhs, x), lhs)
             assert check_equation_sampled(a_k2, eq, 3000, random.Random(8)).holds
+
+    @pytest.mark.parametrize("graph, i, atom", [("K1", 0, 5), ("K2", 1, 17)])
+    def test_sampled_matches_per_trial_oracle(self, a_k1, a_k2, graph, i, atom):
+        # one rng through every equation, as in a suite: after a failure at
+        # trial k the rng must stand where a trial-by-trial check leaves it
+        base = a_k1 if graph == "K1" else a_k2
+        algebra = FiniteBao(corrupt_cyl_table(base.rel, i, atom), "PEA")
+        no_vars = Equation("c0d12=1", ("cyl", 0, ("diag", 1, 2)), ("one",))
+        # 3,000 trials span three columns; only the CA schemas take them,
+        # since most PEA instances hold and the oracle would take minutes
+        for count, eqs in ((0, pea_axioms(3)), (1, pea_axioms(3)), (40, pea_axioms(3)),
+                           (3000, ca_axioms(3))):
+            for seed in (1, 2, 3):
+                runs = []
+                for check in (check_equation_sampled, check_equation_sampled_per_trial):
+                    rng = random.Random(seed)
+                    runs.append([(check(algebra, eq, count, rng), rng.random())
+                                 for eq in eqs + [no_vars]])
+                assert runs[0] == runs[1], (count, seed)
+                assert count == 0 or not all(v.holds for v, _ in runs[0])
 
     def test_false_equation_found(self, a_k1):
         eq = Equation("c0x=x", ("cyl", 0, ("var", 0)), ("var", 0))

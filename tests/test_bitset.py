@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from graphbao.bitset import bit_slice, gather, gather_many, read_map
+from graphbao.bitset import bit_slice, gather_many, read_map
+from oracles import gather
 
 
 def test_bit_slices():
@@ -13,10 +14,10 @@ def test_bit_slices():
 
 
 def test_gather_short_tables():
-    assert gather((), 0b101, 3) == 0
-    assert gather((2,), 0b101, 3) == 1
-    assert gather((1,), 0b101, 3) == 0
-    assert gather((2, 0, 1), 0b101, 3) == 0b011
+    assert gather_many((), [0b101], 3) == [0]
+    assert gather_many((2,), [0b101, 0b011], 3) == [1, 0]
+    assert gather_many((1,), [0b101], 3) == [0]
+    assert gather_many((2, 0, 1), [0b101], 3) == [0b011]
 
 
 def test_read_map_constant_and_empty_maps():

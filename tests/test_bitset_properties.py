@@ -1,11 +1,13 @@
-"""Property tests: gather_many agrees with gather, and read_map inverts it."""
+"""Property tests: gather_many agrees with the one-element oracle gather, and
+read_map inverts it."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from graphbao.bitset import gather, gather_many, read_map  # noqa: E402
+from graphbao.bitset import gather_many, read_map  # noqa: E402
+from oracles import gather  # noqa: E402
 
 # 1, 2, 3 and 2^k, 2^k + 1 up to past 2^16, where slots grow to four bytes
 TARGET_SIZES = st.one_of(

@@ -130,6 +130,16 @@ class TestBaoVerbs:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "equation line" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n", "A forall i | i!=i : (= x x)\n"],
+                             ids=["empty", "comments-only", "no-instance"])
+    def test_axiom_file_without_equations_is_usage_error(self, capsys, tmp_path, text):
+        # checking nothing must not read as "axiom-suite: ok"
+        empty = tmp_path / "empty.eqn"
+        empty.write_text(text)
+        code, out, err = run_cli(capsys, "bao", "check", "K1", "--axioms", str(empty))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "no equation" in err and err.count("\n") == 1
+
     def test_oversized_schema_is_usage_error(self, capsys, tmp_path):
         # 3^20 index assignments: refused before any is instantiated
         names = " ".join(f"i{k}" for k in range(20))
@@ -468,6 +478,19 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, *(str(path) if a == "FILE" else a for a in argv))
         assert code == 2 and out == ""
         assert err.startswith("error: repeated key") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("graph", "chi", "DIR"),
+        ("bao", "check", "K1", "--axioms", "DIR"),
+        ("graph", "chi", "K1", "--config", "DIR"),
+        ("net", "validate", "DIR", "--graph", "K1"),
+        ("dual", "check-chain", "DIR"),
+    ], ids=["graph", "axioms", "config", "network", "chain"])
+    def test_directory_as_file_is_usage_error(self, capsys, tmp_path, argv):
+        # open() raises IsADirectoryError, an OSError but no FileNotFoundError
+        code, out, err = run_cli(capsys, *(str(tmp_path) if a == "DIR" else a for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_internal_key_error_is_no_usage_error(self, capsys, tmp_path, monkeypatch):
         # only an unbound equation variable is a KeyError caused by user input

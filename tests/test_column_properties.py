@@ -1,9 +1,12 @@
-"""Property test: the column evaluator of the exhaustive tier agrees with
-eval_term assignment by assignment, on random terms over every operator and
+"""Property tests: the column evaluator agrees with the oracle eval_term
+assignment by assignment, on random terms over every operator and
 on arbitrary element lists: empty, one element, and lists that no operator
-maps into themselves, so c_i and s_sigma images fall outside the list."""
+maps into themselves, so c_i and s_sigma images fall outside the list.  At
+any column length, both tiers give their oracles' verdicts, and the sampled
+tier leaves the rng where the trial-by-trial oracle leaves it."""
 
 import itertools
+import random
 from unittest import mock
 
 import pytest
@@ -14,9 +17,10 @@ st = hypothesis.strategies
 from graphbao import equations  # noqa: E402
 from graphbao.atoms import all_sigmas, enumerate_atoms  # noqa: E402
 from graphbao.bao import complex_algebra  # noqa: E402
-from graphbao.equations import Equation, eval_column, eval_term  # noqa: E402
+from graphbao.equations import Equation, eval_column  # noqa: E402
 from graphbao.graph import complete_graph  # noqa: E402
-from oracles import check_equation_per_assignment  # noqa: E402
+from oracles import (check_equation_per_assignment,  # noqa: E402
+                     check_equation_sampled_per_trial, eval_term)
 
 ALGEBRA = complex_algebra(enumerate_atoms(complete_graph(1), 3))
 N = ALGEBRA.n
@@ -67,3 +71,18 @@ def test_verdict_matches_per_assignment_oracle(lhs, rhs, elements, length):
         for eq in (Equation("random", lhs, rhs), Equation("same", lhs, lhs)):
             assert (equations.check_equation_on_subuniverse(ALGEBRA, eq, elements)
                     == check_equation_per_assignment(ALGEBRA, eq, elements))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(TERMS, TERMS, st.integers(0, 12), st.integers(0, 2 ** 16),
+                  st.sampled_from([1, 2, 5, 1024]))
+def test_sampled_verdict_and_rng_match_per_trial_oracle(lhs, rhs, count, seed, length):
+    # short columns put failures in a later column than the first, so the
+    # rewind must redraw across columns
+    eq = Equation("random", lhs, rhs)
+    runs = []
+    with mock.patch.object(equations, "COLUMN_LENGTH", length):
+        for check in (equations.check_equation_sampled, check_equation_sampled_per_trial):
+            rng = random.Random(seed)
+            runs.append((check(ALGEBRA, eq, count, rng), rng.random()))
+    assert runs[0] == runs[1]

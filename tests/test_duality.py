@@ -140,14 +140,16 @@ class TestDualEmbedding:
 @dataclass
 class FlippedLane(AlgebraEmbedding):
     """The batched call flips bit 0 of one lane's image, in the per-sample
-    batches of validate_embedding only: those are the batches whose lane 2
-    is the union of lanes 0 and 1 (x, y, x | y, ...)."""
+    batches of validate_embedding only: those are the batches of 5 + n
+    elements whose lane 2 is the union of lanes 0 and 1 (x, y, x | y, ...).
+    The batch of constants (1, 0, d_00, ...) has n * n + 2 elements."""
 
     lane: int = 0
 
     def many(self, elements):
         out = super().many(elements)
-        if len(elements) > 2 and elements[2] == elements[0] | elements[1]:
+        if (len(elements) == 5 + self.domain.n
+                and elements[2] == elements[0] | elements[1]):
             out[self.lane] ^= 1
         return out
 
