@@ -53,13 +53,10 @@ class AgsModel:
     def chi_inflated(self) -> int:
         return chromatic_number(self.graph)[0]
 
-    @cached_property
+    @property
     def pattern_masks(self) -> dict[tuple[int, ...], int]:
         """Atom mask of each diagonal pattern."""
-        masks: dict[tuple[int, ...], int] = {}
-        for idx, atom in enumerate(self.structure.atoms):
-            masks[atom.sim] = masks.get(atom.sim, 0) | 1 << idx
-        return masks
+        return self.structure.pattern_masks
 
     @cached_property
     def preimage_masks(self) -> list[list[int]]:

@@ -21,7 +21,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import SizeLimitError
 from .graph import Graph, inflate
@@ -60,6 +60,7 @@ def num_blocks(sim: tuple[int, ...]) -> int:
     return max(sim) + 1 if sim else 0
 
 
+@lru_cache(maxsize=None)
 def restrict_partition(sim: tuple[int, ...], i: int) -> tuple[int, ...]:
     """Canonical restriction to the coordinates other than i, in index order."""
     return canonical_partition(sim[j] for j in range(len(sim)) if j != i)
@@ -146,20 +147,28 @@ def atom_is_valid(atom: Atom, inflated: Graph) -> bool:
     return all(v is None for v in atom.k)
 
 
-def subst_atom(atom: Atom, sigma: tuple[int, ...]) -> Atom:
-    """Substitution action: partition pulled back along sigma, values rebuilt.
+@lru_cache(maxsize=None)
+def subst_plan(sim: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """What sigma does to every atom with partition sim: the new partition,
+    and per new coordinate the old coordinate whose value it takes (None
+    where the new value is undefined).
 
     The new value at i exists iff the new partition is i-distinguishing, and
     is then the old value at the coordinate missed by sigma off i (sigma is
     injective off i whenever the new partition is i-distinguishing).
     """
-    n = len(atom.sim)
-    new_sim = subst_partition(atom.sim, sigma)
-    new_k: list[int | None] = [None] * n
-    for i in range(n):
-        if is_i_distinguishing(new_sim, i):
-            new_k[i] = atom.k[missed_coordinate(sigma, i)]
-    return Atom(tuple(new_k), new_sim)
+    new_sim = subst_partition(sim, sigma)
+    return new_sim, tuple(missed_coordinate(sigma, i) if is_i_distinguishing(new_sim, i)
+                          else None for i in range(len(sim)))
+
+
+def subst_atom(atom: Atom, sigma: tuple[int, ...]) -> Atom:
+    """Substitution action: partition pulled back along sigma, values rebuilt
+    by the plan of (atom.sim, sigma), so the generator tables are built from
+    one subst_plan per (partition, map) pair."""
+    new_sim, coords = subst_plan(atom.sim, sigma)
+    k = atom.k
+    return Atom(tuple([None if c is None else k[c] for c in coords]), new_sim)
 
 
 class AtomStructure:
@@ -186,6 +195,14 @@ class AtomStructure:
 
     def contains(self, atom: Atom) -> bool:
         return atom in self._index
+
+    @cached_property
+    def pattern_masks(self) -> dict[tuple[int, ...], int]:
+        """Atom mask of each diagonal pattern (partition)."""
+        masks: dict[tuple[int, ...], int] = {}
+        for idx, atom in enumerate(self.atoms):
+            masks[atom.sim] = masks.get(atom.sim, 0) | 1 << idx
+        return masks
 
     def golden_hash(self) -> str:
         payload = [[list(a.sim), [-1 if v is None else v for v in a.k]] for a in self.atoms]

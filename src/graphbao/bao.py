@@ -12,9 +12,12 @@ Both operators are completely additive (Jonsson-Tarski), so each is read
 off its action on atoms: c_i(x) ORs the R_i-class masks that meet x, and
 s_sigma(x) gathers the bits of x through sigma's atom table, eight elements
 per C-level call (s_many; s is its one-element case).  Only the tables of
-subst_generators(n) are built atom by atom; every other map is composed
-along table[sigma o tau][a] = table[tau][table[sigma][a]], the Scomp
-identity of Henkin-Monk-Tarski, Cylindric Algebras I.
+subst_generators(n) are built atom by atom, each atom's image read off the
+plan of its (partition, map) pair (atoms.subst_plan), of which there are
+one per pattern and generator; every other map is composed along
+table[sigma o tau][a] = table[tau][table[sigma][a]], the Scomp identity of
+Henkin-Monk-Tarski, Cylindric Algebras I.  The diagonal masks are unions
+of the atoms' pattern masks.
 
 The ultrafilter structure reads the operators back through the public
 kernels: c_i on every singleton, and each substitution table through s_many
@@ -61,10 +64,10 @@ class RelStructure:
     def from_atom_structure(cls, s: AtomStructure) -> "RelStructure":
         n = s.n
         atoms = s.atoms
-        diag = tuple(
-            tuple(sum(1 << a for a, atom in enumerate(atoms) if atom.sim[i] == atom.sim[j])
-                  for j in range(n))
-            for i in range(n))
+        patterns = s.pattern_masks.items()
+        diag = tuple(tuple(sum(mask for sim, mask in patterns if sim[i] == sim[j])
+                           for j in range(n))
+                     for i in range(n))
         class_of, class_masks = [], []
         for i in range(n):
             ids: dict[tuple, int] = {}

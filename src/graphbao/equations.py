@@ -295,24 +295,28 @@ def eval_column(algebra: FiniteBao, term: tuple, columns: dict, length: int,
 
 def _check_columns(algebra: FiniteBao, eq: Equation, variables: list[int],
                    passes, mode: str) -> Verdict:
-    """Both sides of eq over each (assignments, memo) pair of passes in turn.
+    """Both sides of eq over each (columns, length, memo) of passes in turn.
 
-    assignments is a list of value tuples in the order of variables, and
-    memo is the eval_column memo to evaluate them with.  `checked` and the
-    counterexample are those of the first failing assignment in that order.
+    columns maps each of variables to its values at `length` assignments,
+    and memo is the eval_column memo to evaluate them with.  `checked` and
+    the counterexample are those of the first failing assignment in that
+    order.
     """
     checked = 0
-    for assignments, memo in passes:
-        by_variable = dict(zip(variables, map(list, zip(*assignments))))
-        lhs = eval_column(algebra, eq.lhs, by_variable, len(assignments), memo)
-        rhs = eval_column(algebra, eq.rhs, by_variable, len(assignments), memo)
+    for columns, length, memo in passes:
+        lhs = eval_column(algebra, eq.lhs, columns, length, memo)
+        rhs = eval_column(algebra, eq.rhs, columns, length, memo)
         if lhs != rhs:
             first = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
             return Verdict(False, mode, checked + first + 1,
-                           {f"x{v}": hex(value)
-                            for v, value in zip(variables, assignments[first])})
-        checked += len(assignments)
+                           {f"x{v}": hex(columns[v][first]) for v in variables})
+        checked += length
     return Verdict(True, mode, checked)
+
+
+def _columns(variables: list[int], assignments: list[tuple[int, ...]]) -> tuple[dict, int]:
+    """Each variable's column over assignments (tuples in variables' order), and their number."""
+    return dict(zip(variables, map(list, zip(*assignments)))), len(assignments)
 
 
 def check_equation_sampled(algebra: FiniteBao, eq: Equation, count: int,
@@ -335,7 +339,7 @@ def check_equation_sampled(algebra: FiniteBao, eq: Equation, count: int,
         return [tuple(algebra.sample_element(rng, pool) for _ in variables)
                 for _ in range(k)]
 
-    passes = ((draw(min(COLUMN_LENGTH, trials - done)), {})
+    passes = ((*_columns(variables, draw(min(COLUMN_LENGTH, trials - done))), {})
               for done in range(0, trials, COLUMN_LENGTH))
     verdict = _check_columns(algebra, eq, variables, passes, "sampled")
     if not verdict.holds:
@@ -348,17 +352,27 @@ def check_equation_on_subuniverse(algebra: FiniteBao, eq: Equation, elements) ->
     """Exhaustive over every assignment of the variables in `elements`, up to
     10**6 assignments.
 
-    The assignments are taken in itertools.product order, COLUMN_LENGTH at a
-    time, with one memo for all of them.
+    The assignments are taken in itertools.product order, with one memo for
+    all of them.  The trailing variables, as many as fit COLUMN_LENGTH
+    assignments but at least the last, get their columns built once, in
+    pieces of at most COLUMN_LENGTH; each pass pairs one piece with one
+    assignment of the leading variables, as constant columns.
     """
     variables = sorted(eq.variables())
     if len(elements) ** len(variables) > 10 ** 6:
         raise InfeasibleError("subuniverse assignment space too large")
-    assignments = itertools.product(elements, repeat=len(variables))
+    width = len(variables)
+    while width > 1 and len(elements) ** width > COLUMN_LENGTH:
+        width -= 1
+    leading, trailing = variables[:len(variables) - width], variables[len(variables) - width:]
+    block = itertools.product(elements, repeat=width)
+    pieces = [_columns(trailing, piece) for piece in
+              iter(lambda: list(itertools.islice(block, COLUMN_LENGTH)), [])]
     memo: dict = {}
-    chunks = iter(lambda: list(itertools.islice(assignments, COLUMN_LENGTH)), [])
-    return _check_columns(algebra, eq, variables,
-                          ((chunk, memo) for chunk in chunks), "subalgebra")
+    passes = (({v: [value] * length for v, value in zip(leading, lead)} | columns, length, memo)
+              for lead in itertools.product(elements, repeat=len(leading))
+              for columns, length in pieces)
+    return _check_columns(algebra, eq, variables, passes, "subalgebra")
 
 
 def pick_subalgebra(algebra: FiniteBao, rng: random.Random) -> list[int]:

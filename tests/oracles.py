@@ -9,8 +9,8 @@ import random
 from dataclasses import replace
 from operator import itemgetter
 
-from graphbao.atoms import (Atom, all_partitions, all_sigmas, compose_sigma, missed_coordinate,
-                            restrict_partition, subst_atom, subst_partition)
+from graphbao.atoms import (Atom, all_partitions, all_sigmas, compose_sigma, is_i_distinguishing,
+                            missed_coordinate, restrict_partition, subst_partition)
 from graphbao.bao import FiniteBao, RelStructure
 from graphbao.bitset import iter_bits
 from graphbao.equations import UnboundVariableError, Verdict
@@ -283,6 +283,18 @@ def gather(table, x: int, width: int) -> int:
     return int("".join(itemgetter(*table)(bits))[::-1], 2)
 
 
+def lanes_by_digits(xs, width: int) -> bytes:
+    """bitset._lanes through digit strings: the digits of xs[j], most
+    significant first, become bytes holding 0 or 1 << j, so one big-endian
+    integer per element puts its bit b in byte b, lane j."""
+    acc = 0
+    for j, x in enumerate(xs):
+        digits = format(x, f"0{width}b").encode()
+        acc |= int.from_bytes(digits.translate(bytes.maketrans(b"01", bytes((0, 1 << j)))),
+                              "big")
+    return acc.to_bytes(width, "little")
+
+
 def eval_term(algebra, term: tuple, env) -> int:
     """equations.eval_column at one assignment, by recursion on the term."""
     op = term[0]
@@ -431,9 +443,25 @@ def subst_columns(table, columns) -> list[tuple[str, ...]]:
     return [columns[b] for b in table]
 
 
+def subst_atom_per_atom(atom: Atom, sigma: tuple[int, ...]) -> Atom:
+    """atoms.subst_atom without its (partition, map) plan: the partition,
+    the distinguishing test and the missed coordinate, atom by atom.
+
+    The new value at i exists iff the new partition is i-distinguishing, and
+    is then the old value at the coordinate missed by sigma off i.
+    """
+    n = len(atom.sim)
+    new_sim = subst_partition(atom.sim, sigma)
+    new_k: list[int | None] = [None] * n
+    for i in range(n):
+        if is_i_distinguishing(new_sim, i):
+            new_k[i] = atom.k[missed_coordinate(sigma, i)]
+    return Atom(tuple(new_k), new_sim)
+
+
 def direct_subst_tables(structure) -> tuple[tuple[int, ...], ...]:
-    """One table per map in rank order, every entry from subst_atom."""
-    return tuple(tuple(structure.index_of(subst_atom(atom, sigma))
+    """One table per map in rank order, every entry from subst_atom_per_atom."""
+    return tuple(tuple(structure.index_of(subst_atom_per_atom(atom, sigma))
                        for atom in structure.atoms)
                  for sigma in all_sigmas(structure.n))
 

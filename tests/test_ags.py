@@ -4,12 +4,13 @@ from dataclasses import replace
 import pytest
 
 from graphbao import ags
-from graphbao.atoms import all_sigmas, sigma_rank, subst_atom
+from graphbao.atoms import all_sigmas, sigma_rank
 from graphbao.bao import FiniteBao
 from graphbao.bitset import iter_bits
 from graphbao.graph import Graph, chromatic_number, complete_graph, cycle_graph, path_graph
-from oracles import (cyl_relatedness_pairwise, proj_per_bit, substitution_properties_per_element,
-                     theta_by_cover_search, theta_literal, with_cyl_classes)
+from oracles import (cyl_relatedness_pairwise, proj_per_bit, subst_atom_per_atom,
+                     substitution_properties_per_element, theta_by_cover_search, theta_literal,
+                     with_cyl_classes)
 
 RELATEDNESS = "cylindric relatedness is diagonal agreement plus equal projection"
 
@@ -223,7 +224,7 @@ class TestSubstitutionSuite:
         for sigma in all_sigmas(n):
             row = [0] * len(atoms)
             for x, atom in enumerate(atoms):
-                row[m.structure.index_of(subst_atom(atom, sigma))] |= 1 << x
+                row[m.structure.index_of(subst_atom_per_atom(atom, sigma))] |= 1 << x
             expected.append(row)
         assert [list(row) for row in m.preimage_masks] == expected
         everything = (1 << len(atoms)) - 1

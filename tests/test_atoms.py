@@ -6,9 +6,10 @@ import pytest
 from graphbao.atoms import (Atom, all_partitions, all_sigmas, atom_is_valid,
                             canonical_partition, compose_sigma, enumerate_atoms,
                             is_i_distinguishing, restrict_partition, subst_atom)
+from graphbao.bao import subst_generators
 from graphbao.errors import SizeLimitError
 from graphbao.graph import Graph, complete_graph, cycle_graph, path_graph
-from oracles import cyl_equiv, diag_member, naive_atom_set
+from oracles import cyl_equiv, diag_member, naive_atom_set, subst_atom_per_atom
 
 K1_HASH = "0bd8160f29277b4718062d2ac08adab8259cfd2946cbbe9dc02da239e0c16f2a"
 
@@ -150,6 +151,18 @@ class TestCylEquiv:
                         assert (a, c) in related
 
 
+class TestPatternMasks:
+    @pytest.mark.parametrize("graph, n", [(complete_graph(2), 3), (path_graph(3), 3),
+                                          (complete_graph(1), 4)], ids=["K2n3", "P3n3", "K1n4"])
+    def test_masks_match_per_atom_loop(self, graph, n):
+        structure = enumerate_atoms(graph, n)
+        expected: dict = {}
+        for idx, atom in enumerate(structure.atoms):
+            expected[atom.sim] = expected.get(atom.sim, 0) | 1 << idx
+        assert structure.pattern_masks == expected
+        assert list(structure.pattern_masks) == list(expected)
+
+
 class TestDiagMember:
     def test_d_ii_all(self, k1_model):
         for atom in k1_model.structure.atoms:
@@ -200,6 +213,24 @@ class TestSubstAction:
                 image = subst_atom(atom, sigma)
                 assert atom_is_valid(image, structure.inflated)
                 assert structure.contains(image)
+
+    @pytest.mark.parametrize("graph", [complete_graph(1), complete_graph(2), path_graph(3)],
+                             ids=["K1", "K2", "P3"])
+    def test_plan_matches_per_atom_oracle(self, graph):
+        structure = enumerate_atoms(graph, 3)
+        for sigma in all_sigmas(3):
+            for atom in structure.atoms:
+                assert subst_atom(atom, sigma) == subst_atom_per_atom(atom, sigma), (atom, sigma)
+
+    def test_plan_matches_per_atom_oracle_k2_n4(self):
+        # the three generators of every map and a few of their composites
+        structure = enumerate_atoms(complete_graph(2), 4)
+        generators = subst_generators(4)
+        sigmas = generators + tuple(compose_sigma(a, b) for a in generators for b in generators)
+        sigmas += ((0, 0, 0, 0), (3, 3, 1, 1), (2, 0, 0, 2))
+        for sigma in sigmas:
+            for atom in structure.atoms:
+                assert subst_atom(atom, sigma) == subst_atom_per_atom(atom, sigma), (atom, sigma)
 
     def test_relation_on_partitions(self, k1_model):
         for atom in k1_model.structure.atoms:

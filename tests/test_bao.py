@@ -3,8 +3,7 @@ from functools import partial
 
 import pytest
 
-from graphbao.atoms import (all_partitions, all_sigmas, compose_sigma,
-                            enumerate_atoms, subst_atom)
+from graphbao.atoms import all_partitions, all_sigmas, compose_sigma, enumerate_atoms
 from graphbao.bao import SIGNATURES, FiniteBao, complex_algebra, subst_generators
 from graphbao.bitset import read_map
 from graphbao.equations import (Equation, ca_axioms, check_ca_axioms, check_discriminator,
@@ -14,9 +13,9 @@ from graphbao.equations import (Equation, ca_axioms, check_ca_axioms, check_disc
 from graphbao.errors import SizeLimitError
 from graphbao.graph import complete_graph, cycle_graph, path_graph
 from oracles import (atom_columns, check_equation_per_assignment,
-                     check_equation_sampled_per_trial, corrupt_cyl_table,
-                     cyl_equiv, cyl_per_bit, direct_subst_tables, generated_subalgebra_closure,
-                     read_map_by_singletons, subst_columns)
+                     check_equation_sampled_per_trial, corrupt_cyl_table, cyl_equiv, cyl_per_bit,
+                     diag_member, direct_subst_tables, generated_subalgebra_closure,
+                     read_map_by_singletons, subst_atom_per_atom, subst_columns)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +128,14 @@ class TestKernelsAgainstOracles:
     def test_tables_match_direct_build(self, probed_algebra):
         algebra, direct, _ = probed_algebra
         assert algebra.rel.subst_tables == direct
+
+    def test_diagonals_match_atom_scan(self, probed_algebra):
+        algebra, _, _ = probed_algebra
+        atoms = algebra.atom_structure.atoms
+        for i in range(algebra.n):
+            for j in range(algebra.n):
+                assert algebra.d(i, j) == sum(1 << a for a, atom in enumerate(atoms)
+                                              if diag_member(atom, i, j))
 
     def test_c_matches_per_bit(self, probed_algebra):
         algebra, _, probes = probed_algebra
@@ -292,6 +299,16 @@ class TestColumnTier:
         assert not verdict.holds
         assert verdict == check_equation_per_assignment(p3_algebra, eq, sub)
 
+    @pytest.mark.parametrize("length", [5, 32])
+    def test_leading_values_outside_the_trailing_pieces(self, p3_algebra, monkeypatch, length):
+        # at 5 the last variable's 32 values come in 7 pieces, each paired
+        # with every value of the leading variables in product order
+        monkeypatch.setattr("graphbao.equations.COLUMN_LENGTH", length)
+        sub = p3_algebra.generated_subalgebra(())
+        for eq in FAILING:
+            assert check_equation_on_subuniverse(p3_algebra, eq, sub) == \
+                check_equation_per_assignment(p3_algebra, eq, sub), eq.name
+
     def test_first_failure_in_a_later_column(self, p3_algebra):
         verdict = check_equation_on_subuniverse(p3_algebra, FAILING[3],
                                                 p3_algebra.generated_subalgebra(()))
@@ -351,7 +368,7 @@ class TestUltrafilterStructure:
         structure = a_k1.atom_structure
         for sigma in all_sigmas(3):
             for y, atom in enumerate(structure.atoms):
-                expected = structure.index_of(subst_atom(atom, sigma))
+                expected = structure.index_of(subst_atom_per_atom(atom, sigma))
                 generator = [x for x in range(a_k1.natoms)
                              if a_k1.s(sigma, 1 << x) >> y & 1]
                 assert generator == [expected]

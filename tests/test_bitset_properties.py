@@ -1,13 +1,14 @@
-"""Property tests: gather_many agrees with the one-element oracle gather, and
-read_map inverts it."""
+"""Property tests: the lane packer agrees with the digit-string packer,
+gather_many agrees with the one-element oracle gather, and read_map inverts
+it."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from graphbao.bitset import gather_many, read_map  # noqa: E402
-from oracles import gather  # noqa: E402
+from graphbao.bitset import _lanes, bit_slice, gather_many, read_map  # noqa: E402
+from oracles import gather, lanes_by_digits  # noqa: E402
 
 # 1, 2, 3 and 2^k, 2^k + 1 up to past 2^16, where slots grow to four bytes
 TARGET_SIZES = st.one_of(
@@ -17,6 +18,28 @@ TARGET_SIZES = st.one_of(
 # two chunks of 8 lanes
 WIDTHS = st.one_of(st.sampled_from([1, 7, 8, 9, 15, 16, 17]), st.integers(1, 70))
 BATCH_SIZES = st.one_of(st.sampled_from([0, 1, 7, 8, 9, 17]), st.integers(0, 20))
+
+
+# no byte, one bit, either side of one byte and of one word, and a few
+# thousand bits, as in an atom structure's elements
+LANE_WIDTHS = st.one_of(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65]), st.integers(2000, 5000))
+
+
+@st.composite
+def lane_chunks(draw):
+    width = draw(LANE_WIDTHS)
+    count = draw(st.integers(0, 8))
+    xs = draw(st.lists(st.integers(0, 2 ** width - 1), min_size=count, max_size=count))
+    return xs, width
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None)
+@hypothesis.given(lane_chunks())
+def test_lanes_match_digit_packer(case):
+    # each lane holds its own element, so a lane packed in the wrong place,
+    # or a transpose round left out, differs from the digit strings
+    xs, width = case
+    assert _lanes(xs, width) == lanes_by_digits(xs, width)
 
 
 @st.composite
@@ -65,3 +88,33 @@ def test_read_map_inverts_gather(case):
     assert read_map(preimages, len(f), ntgt) == f
     nbits = (ntgt - 1).bit_length()
     assert calls == [min(8, nbits - k) for k in range(0, nbits, 8)]
+
+
+@st.composite
+def decodable_maps(draw):
+    # any values the slices of ntgt can spell, in range or not
+    ntgt = draw(st.one_of(st.integers(0, 300), TARGET_SIZES))
+    top = 1 << max(ntgt - 1, 0).bit_length()
+    f = draw(st.lists(st.integers(0, top - 1), max_size=40))
+    return tuple(f), ntgt
+
+
+@hypothesis.settings(max_examples=400, deadline=None, database=None)
+@hypothesis.example(((3, 0), 3))
+@hypothesis.example(((0,), 0))
+@hypothesis.example(((3, 2), 4))
+@hypothesis.given(decodable_maps())
+def test_read_map_rejects_exactly_the_values_outside_the_target(case):
+    # the answer to slice k is the set of items whose value has bit k, so
+    # the values decode as they are and only their range decides
+    f, ntgt = case
+    slice_of = {bit_slice(k, ntgt): k for k in range(max(ntgt - 1, 0).bit_length())}
+
+    def preimages(xs):
+        return [sum(1 << a for a, v in enumerate(f) if v >> slice_of[x] & 1) for x in xs]
+
+    if any(v >= ntgt for v in f):
+        with pytest.raises(RuntimeError, match="outside range"):
+            read_map(preimages, len(f), ntgt)
+    else:
+        assert read_map(preimages, len(f), ntgt) == f
