@@ -53,11 +53,6 @@ class AgsModel:
     def chi_inflated(self) -> int:
         return chromatic_number(self.graph)[0]
 
-    @property
-    def pattern_masks(self) -> dict[tuple[int, ...], int]:
-        """Atom mask of each diagonal pattern."""
-        return self.structure.pattern_masks
-
     @cached_property
     def preimage_masks(self) -> list[list[int]]:
         """[rank][atom] -> mask of the atoms x with subst_tables[rank][x] == atom."""

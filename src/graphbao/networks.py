@@ -274,28 +274,34 @@ def _check_getters(n: int, nodes: tuple[int, ...], tuples: tuple | None):
 
 
 @functools.cache
-def _subset_tables(n: int, nodes: tuple[int, ...]):
-    """Tables for extending a network on `nodes[:-1]` by the node z =
-    `nodes[-1]`: the sorted fresh tuples (those holding z) and a getter of
-    their labels; per coordinate i, a getter of the labels of the tuples
-    with entry i replaced by nodes[0] (each cylindric line through z holds a
-    fresh tuple); and per new maximal node subset, a tuple c listing it with
-    its diagonal pattern, cylindric neighbours (i, c with entry i replaced)
-    and images (rank, c o sigma)."""
+def _subset_tables(n: int, nodes: tuple[int, ...], w0: tuple[int, ...] | None):
+    """The plan for extending a valid network on `nodes[:-1]` by the node
+    z = `nodes[-1]`, with w0 pre-labelled (None when an old tuple witnesses
+    the move): the sorted fresh tuples (those holding z) and, per tuple c
+    listing a new maximal node subset in search order, c's diagonal pattern,
+    its cylindric neighbours (i, c with entry i replaced) and images (rank,
+    c o sigma) that are labelled when c is picked (old tuples, w0, images of
+    earlier subsets), and its free images, which the pick labels.  An image
+    tuple appears once, with the first sigma in rank order that gives it."""
     z = nodes[-1]
     if len(nodes) <= n:
         listings = [nodes + (z,) * (n - len(nodes))]
     else:
         listings = [c + (z,) for c in itertools.combinations(nodes[:-1], n - 1)]
-    subsets = [(canonical_partition(c),
-                [(i, c[:i] + (node,) + c[i + 1:]) for i in range(n) for node in nodes
-                 if node != c[i]],
-                [(rank, tuple(c[s] for s in sigma)) for rank, sigma in enumerate(all_sigmas(n))])
-               for c in listings]
+    labelled = {*itertools.product(nodes[:-1], repeat=n), w0}  # a None w0 is no tuple
+    plan = []
+    for c in listings:
+        images: dict[tuple[int, ...], int] = {}
+        for rank, sigma in enumerate(all_sigmas(n)):
+            images.setdefault(tuple(c[s] for s in sigma), rank)
+        plan.append((canonical_partition(c),
+                     [(i, u) for i in range(n) for node in nodes if node != c[i]
+                      for u in [c[:i] + (node,) + c[i + 1:]] if u in labelled],
+                     [(rank, u) for u, rank in images.items() if u in labelled],
+                     [(rank, u) for u, rank in images.items() if u not in labelled]))
+        labelled.update(images)
     fresh = tuple(sorted(t for t in itertools.product(nodes, repeat=n) if z in t))
-    leads = tuple(itemgetter(*(t[:i] + (nodes[0],) + t[i + 1:] for t in fresh))
-                  for i in range(n))
-    return fresh, itemgetter(*fresh), leads, subsets
+    return fresh, tuple(plan)
 
 
 def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove, witnessed: bool,
@@ -303,20 +309,31 @@ def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove, witnessed: 
     """Every valid network on one fresh node that witnesses the move.  With
     `ordered` they come sorted by their labels on w0, then on the other
     fresh tuples; without, lazily in search order, so a caller that takes
-    one stops the search at its first kept labelling.
+    one stops the search at its first labelling.
 
     In polyadic mode a tuple is c o sigma for a tuple c listing a maximal
-    node subset that holds its image, so its label is table[sigma][label
-    of c]: the search picks one label per new maximal subset, from c's
-    pattern mask cut by the classes of c's labelled cylindric neighbours
-    and by the preimage of each labelled image's label (so every candidate
-    agrees with the labels already assigned), and derives the labels of c's
-    other images, backtracking on a clash between them.  The demanded
-    atom is pre-assigned at w0 unless an old tuple witnesses the move.  A
-    labelling is kept when every cylindric line through the fresh node is
-    one class; each kept network is validated on its fresh tuples, which is
-    the full check because the parent is valid (a tuple without the fresh
-    node has no image with it, and the cylindric relation is symmetric).
+    node subset that holds its image, so its label is T_sigma[label of c]
+    (T the substitution tables).  The demanded atom is pre-assigned at w0
+    unless an old tuple witnesses the move.  Along the plan of
+    _subset_tables, the search picks one label x per new maximal subset
+    from c's pattern mask, cut by the R_i class of each labelled cylindric
+    neighbour and by the preimage of each labelled image's label, and
+    writes T_sigma[x] at each free image.  Every leaf is a response, by
+    three facts about the tables (tests pin them on every atom and map):
+
+    * L1: if sigma and sigma' agree off i, T_sigma[x] R_i T_sigma'[x];
+    * L2: if x R_k y and sigma^-1(k) = {i}, T_sigma[x] R_i T_sigma[y];
+    * L3: if sigma(j) and sigma'(j) share a block of x's partition for
+      every j, T_sigma[x] = T_sigma'[x].
+
+    By L3 one write per tuple c o sigma suffices.  With the neighbour cut,
+    L1 and L2 put each cylindric line through the fresh node in one class:
+    inside c's node set by L1; out of c to an old tuple, or into an
+    overlapping subset c' (c[j -> u] = c' o pi is cut against whichever
+    of c and c' is picked first), by L2.  Each network is still validated
+    on its fresh tuples, a guard that raises RuntimeError; that is the
+    full check because the parent is valid (a tuple without the fresh node
+    has no image with it, and the cylindric relation is symmetric).
     """
     n = m.n
     v, i, a = move.v, move.i, move.atom
@@ -325,36 +342,29 @@ def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove, witnessed: 
     # the demand must be witnessed by an old tuple or by the fresh one
     if not witnessed and m.structure.atoms[a].sim != canonical_partition(w0):
         return
-    fresh, fresh_labels, leads, subsets = _subset_tables(n, nodes2)
+    fresh, plan = _subset_tables(n, nodes2, None if witnessed else w0)
     order = [w0] + [t for t in fresh if t != w0]
     key = itemgetter(*order)
     rel = m.algebra.rel
     class_of, class_masks, tables = rel.cyl_class_of, rel.cyl_class_masks, rel.subst_tables
+    pattern_masks, preimage_masks = m.structure.pattern_masks, m.preimage_masks
     assigned = dict(net.labels) if witnessed else {**net.labels, w0: a}
 
     def label(pos):
-        if pos == len(subsets):
-            labels = fresh_labels(assigned)
-            if all([*map(cls.__getitem__, labels)] == [*map(cls.__getitem__, lead(assigned))]
-                   for cls, lead in zip(class_of, leads)):
-                yield key(assigned)
+        if pos == len(plan):
+            yield key(assigned)
             return
-        pattern, cyl, images = subsets[pos]
-        mask = m.pattern_masks.get(pattern, 0)
+        pattern, cyl, images, free = plan[pos]
+        mask = pattern_masks.get(pattern, 0)
         for i2, u in cyl:
-            if u in assigned:
-                mask &= class_masks[i2][class_of[i2][assigned[u]]]
-        # an image labelled before the pick admits the preimage of its label
-        # only; the other images are written for each candidate, then cleared
-        free = [(tables[rank], u) for rank, u in images if u not in assigned]
+            mask &= class_masks[i2][class_of[i2][assigned[u]]]
         for rank, u in images:
-            if u in assigned:
-                mask &= m.preimage_masks[rank][assigned[u]]
+            mask &= preimage_masks[rank][assigned[u]]
+        # a later subset reads only what the plan says is labelled before it
         for x in iter_bits(mask):
-            if all(assigned.setdefault(u, table[x]) == table[x] for table, u in free):
-                yield from label(pos + 1)
-            for _, u in free:
-                assigned.pop(u, None)
+            for rank, u in free:
+                assigned[u] = tables[rank][x]
+            yield from label(pos + 1)
 
     for row in sorted(label(0)) if ordered else label(0):
         net2 = UfNetwork(n, nodes2, {**net.labels, **dict(zip(order, row))})
@@ -384,7 +394,7 @@ def exists_survives(m: AgsModel, depth: int, strategy: str = "exhaustive",
     verdict, trace and visit count are deterministic.  Responses come from
     _extension_networks, which labels one tuple per new maximal node subset
     and derives the rest through the substitution tables.  At the last round
-    any response wins, so the first labelling the search keeps answers the
+    any response wins, so the first labelling the search finds answers the
     move; only `collect` still gets them all, sorted.  paper: follow
     the two-step ultrafilter/patch construction; on finite models its second
     step eventually demands an ultrafilter of the set sort free of
@@ -482,15 +492,12 @@ def _paper_verdict(m: AgsModel, net0: UfNetwork, depth: int,
                    collect: list | None) -> GameVerdict:
     def walk(net, d, round_no):
         if d == 0:
-            return None
+            return
         for move in forall_moves(m, net):
             net2 = paper_response(m, net, move, round_no)
             if collect is not None and net2 is not net:
                 collect.append(net2)
-            deeper = walk(net2, d - 1, round_no + 1)
-            if deeper is not None:
-                return deeper
-        return None
+            walk(net2, d - 1, round_no + 1)
 
     try:
         walk(net0, depth, 0)
@@ -502,7 +509,9 @@ def _paper_verdict(m: AgsModel, net0: UfNetwork, depth: int,
 
 def sample_play(m: AgsModel, rounds: int, strategy: str = "exhaustive") -> list[GameState]:
     """One concrete play for trace output: the challenger takes the first
-    move each round and the builder answers with her first good response."""
+    move each round and the builder answers with her first good response;
+    it ends at a round with none, or where the paper strategy's
+    precondition fails."""
     net = initial_network(m)
     states = [GameState(0, net)]
     for r in range(rounds):
@@ -511,12 +520,11 @@ def sample_play(m: AgsModel, rounds: int, strategy: str = "exhaustive") -> list[
             break
         # prefer a challenge no existing tuple witnesses, so the play grows
         move = next((mv for mv in moves if not _witnessed(net, mv)), moves[0])
-        if strategy == "paper":
-            net2 = paper_response(m, net, move, r)
-        else:
-            net2 = next(iter(exists_responses(m, net, move)), None)
-            if net2 is None:
-                break
+        try:
+            net2 = (paper_response(m, net, move, r) if strategy == "paper"
+                    else next(iter(exists_responses(m, net, move))))
+        except (_PreconditionFailed, StopIteration):
+            break
         states.append(GameState(r + 1, net2,
                                 [{"v": list(move.v), "i": move.i, "atom": move.atom}]))
         net = net2

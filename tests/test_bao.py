@@ -1,11 +1,12 @@
 import random
 from functools import partial
+from operator import itemgetter
 
 import pytest
 
 from graphbao.atoms import all_partitions, all_sigmas, compose_sigma, enumerate_atoms
 from graphbao.bao import SIGNATURES, FiniteBao, complex_algebra, subst_generators
-from graphbao.bitset import read_map
+from graphbao.bitset import iter_bits, read_map
 from graphbao.equations import (Equation, ca_axioms, check_ca_axioms, check_discriminator,
                                 check_equation_on_subuniverse, check_equation_sampled,
                                 check_pea_axioms, eval_column, parse_equations, pea_axioms,
@@ -149,6 +150,48 @@ class TestKernelsAgainstOracles:
         for sigma, table in zip(all_sigmas(algebra.n), direct):
             images = [algebra.s(sigma, x) for x in probes]
             assert atom_columns(images, algebra.natoms) == subst_columns(table, columns)
+
+
+class TestSearchLemmas:
+    """The three facts about the stored tables T_sigma and R_i classes that
+    let the extension search keep every leaf without a check (see
+    networks._extension_networks), on every atom, map and coordinate."""
+
+    def test_l1_maps_agreeing_off_i_keep_the_r_i_class(self, probed_algebra):
+        algebra, _, _ = probed_algebra
+        rel, n = algebra.rel, algebra.n
+        for i, class_of in enumerate(rel.cyl_class_of):
+            by_rest = {}
+            for sigma, table in zip(all_sigmas(n), rel.subst_tables):
+                classes = tuple(map(class_of.__getitem__, table))
+                assert by_rest.setdefault(sigma[:i] + sigma[i + 1:], classes) == classes
+            assert len(by_rest) == n ** (n - 1)
+
+    def test_l2_a_map_hitting_k_once_carries_r_k_into_r_i(self, probed_algebra):
+        algebra, _, _ = probed_algebra
+        rel, n = algebra.rel, algebra.n
+        checked = 0
+        for k in range(n):
+            masks = rel.cyl_class_masks[k]
+            # the least atom of each atom's R_k class
+            least = tuple((masks[c] & -masks[c]).bit_length() - 1 for c in rel.cyl_class_of[k])
+            for sigma, table in zip(all_sigmas(n), rel.subst_tables):
+                if sigma.count(k) == 1:
+                    classes = tuple(map(rel.cyl_class_of[sigma.index(k)].__getitem__, table))
+                    assert tuple(map(classes.__getitem__, least)) == classes
+                    checked += 1
+        assert checked == n * n * (n - 1) ** (n - 1)
+
+    def test_l3_maps_agreeing_on_x_blocks_give_one_image(self, probed_algebra):
+        algebra, _, _ = probed_algebra
+        rel, n = algebra.rel, algebra.n
+        for sim, mask in algebra.atom_structure.pattern_masks.items():
+            get = itemgetter(*iter_bits(mask))
+            by_blocks = {}
+            for sigma, table in zip(all_sigmas(n), rel.subst_tables):
+                images = get(table)
+                assert by_blocks.setdefault(tuple(sim[s] for s in sigma), images) == images
+            assert len(by_blocks) == (max(sim) + 1) ** n
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

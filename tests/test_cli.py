@@ -213,6 +213,15 @@ class TestNetAndGameVerbs:
         data = json.loads(out)
         assert code == 0 and len(data["play"]) >= 1
 
+    def test_game_trace_ends_where_paper_precondition_fails(self, capsys):
+        code, out, _ = run_cli(capsys, "game", "run", "--graph", "K1",
+                               "--depth", "2", "--strategy", "paper", "--trace",
+                               "--output", "json")
+        data = json.loads(out)
+        assert code == 0
+        assert data["status"] == "precondition_failed" and data["round"] == 1
+        assert [state["round"] for state in data["play"]] == [0, 1]
+
     def test_net_validate_and_boundary(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "game", "run", "--graph", "K1",
                                "--depth", "1", "--trace", "--output", "json")

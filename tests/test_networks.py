@@ -4,9 +4,9 @@ import itertools
 import pytest
 
 from graphbao import ags, networks
-from graphbao.atoms import Atom
+from graphbao.atoms import Atom, all_sigmas, canonical_partition
 from graphbao.errors import IncoherentPatchError
-from graphbao.graph import cycle_graph
+from graphbao.graph import complete_graph, cycle_graph, path_graph
 from graphbao.networks import (GameMove, PatchSystem, UfNetwork, boundary,
                                exists_responses, exists_survives, forall_moves,
                                initial_network, is_coherent, network_from_json,
@@ -249,6 +249,40 @@ class TestForallMoves:
         assert engine == set(naive_game_moves(k1_model, net))
 
 
+class TestExtensionPlan:
+    @pytest.mark.parametrize("n, nodes, stride", [
+        (3, (0, 1), 1), (3, (0, 1, 2), 1), (3, (0, 1, 2, 3), 1), (4, (0, 1, 2, 3, 4), 9)])
+    def test_plan_labels_each_fresh_tuple_once(self, n, nodes, stride):
+        """Per new maximal subset, in combinations order: its pattern, the
+        neighbours and images labelled before its pick, and its other
+        images, each image tuple once with the first map that gives it."""
+        z = nodes[-1]
+        old = set(itertools.product(nodes[:-1], repeat=n))
+        w0s = sorted({v[:i] + (z,) + v[i + 1:] for v in old for i in range(n)})
+        if len(nodes) <= n:
+            listings = [nodes + (z,) * (n - len(nodes))]
+        else:
+            listings = [c + (z,) for c in itertools.combinations(nodes[:-1], n - 1)]
+        for w0 in [None] + w0s[::stride]:
+            fresh, plan = networks._subset_tables(n, nodes, w0)
+            assert fresh == tuple(sorted(set(itertools.product(nodes, repeat=n)) - old))
+            labelled = old | {w0} - {None}
+            assert len(plan) == len(listings)
+            for c, (pattern, cyl, images, free) in zip(listings, plan):
+                assert pattern == canonical_partition(c)
+                assert sorted(cyl) == sorted(
+                    (i, u) for i in range(n) for node in nodes if node != c[i]
+                    for u in [c[:i] + (node,) + c[i + 1:]] if u in labelled)
+                first = {}
+                for rank, sigma in enumerate(all_sigmas(n)):
+                    first.setdefault(tuple(c[s] for s in sigma), rank)
+                assert sorted(images + free) == sorted((rank, u) for u, rank in first.items())
+                assert all(u in labelled for _, u in images)
+                assert not any(u in labelled for _, u in free)
+                labelled |= set(first)
+            assert labelled == old | set(fresh)
+
+
 class TestExistsSurvives:
     def test_depth_zero_vacuous(self, k1_model):
         assert exists_survives(k1_model, 0).status == "survives"
@@ -303,13 +337,17 @@ class TestExistsSurvives:
             assert (first is None) == (not oracle)
             assert first is None or first.key() in oracle
 
-    def test_response_sets_from_three_nodes_match_pruned_oracle(self, k1_model):
+    def test_response_sets_from_three_nodes_match_pruned_oracle(self, k1_model, monkeypatch):
         # 4-node extensions: three new maximal node subsets, which overlap
         collected = []
         exists_survives(k1_model, 2, collect=collected)
         net = next(net for net in collected if len(net.nodes) == 3)
         moves = forall_moves(k1_model, net)
         assert len(moves) == 648
+        tried = []  # the popcount of every candidate mask the search walks
+        iter_bits_ = networks.iter_bits
+        monkeypatch.setattr(networks, "iter_bits",
+                            lambda mask: tried.append(mask.bit_count()) or iter_bits_(mask))
         in_order = []
         for move in moves[::16]:
             engine = list(exists_responses(k1_model, net, move))
@@ -318,6 +356,10 @@ class TestExistsSurvives:
             in_order += engine
         assert len(in_order) == 519
         assert self.digest(in_order) == "84f35c848ae091c3"
+        # the preimage cut with L1 rejects, at some later subset, every
+        # candidate the neighbour cut rejects at its pick, so no response
+        # depends on the neighbour cut; this pins the candidates it saves
+        assert sum(tried) == 1326
 
     @staticmethod
     def digest(networks_in_order):
@@ -340,6 +382,17 @@ class TestExistsSurvives:
         assert self.digest(collected) == "340ffe388ff1fb8a"
         for net in collected:
             assert validate_network(net, k2_model, "polyadic") == []
+
+    @pytest.mark.parametrize("graph, pinned", [
+        (complete_graph(3), (11, 9559, "fa5cc00e871e0f49")),
+        (path_graph(3), (11, 9343, "2dbf9b457d245eca"))], ids=["K3", "P3"])
+    def test_pinned_depth_two(self, graph, pinned):
+        # three vertices: atoms of every pattern, and an edge missing on P3
+        m = ags.build_model(graph, 3)
+        collected = []
+        verdict = exists_survives(m, 2, collect=collected)
+        assert verdict.status == "survives" and verdict.trace is None
+        assert (verdict.visited, len(collected), self.digest(collected)) == pinned
 
     def test_depth_two_survives_and_monotone(self, k1_model):
         v2 = exists_survives(k1_model, 2)
