@@ -22,6 +22,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter, itemgetter
 
 from .errors import SizeLimitError
 from .graph import Graph, inflate
@@ -162,15 +163,6 @@ def subst_plan(sim: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[tuple, tup
                           else None for i in range(len(sim)))
 
 
-def subst_atom(atom: Atom, sigma: tuple[int, ...]) -> Atom:
-    """Substitution action: partition pulled back along sigma, values rebuilt
-    by the plan of (atom.sim, sigma), so the generator tables are built from
-    one subst_plan per (partition, map) pair."""
-    new_sim, coords = subst_plan(atom.sim, sigma)
-    k = atom.k
-    return Atom(tuple([None if c is None else k[c] for c in coords]), new_sim)
-
-
 class AtomStructure:
     """Indexed list of all valid atoms over an inflated graph.
 
@@ -184,25 +176,46 @@ class AtomStructure:
         self.n = n
         self.inflated = inflate(base_graph, n)
         self.atoms: tuple[Atom, ...] = tuple(sorted(atoms, key=Atom.sort_key))
-        self._index = {a: i for i, a in enumerate(self.atoms)}
+        self._index = {(a.k, a.sim): i for i, a in enumerate(self.atoms)}
         self._tables = None
 
     def __len__(self):
         return len(self.atoms)
 
     def index_of(self, atom: Atom) -> int:
-        return self._index[atom]
+        return self._index[atom.k, atom.sim]
 
     def contains(self, atom: Atom) -> bool:
-        return atom in self._index
+        return (atom.k, atom.sim) in self._index
+
+    @cached_property
+    def pattern_atoms(self) -> dict[tuple[int, ...], range]:
+        """The atom indices of each diagonal pattern (partition), in atom
+        order: atoms sort by pattern first, so each pattern is one run."""
+        runs: dict[tuple[int, ...], range] = {}
+        start = 0
+        for sim, group in itertools.groupby(self.atoms, key=attrgetter("sim")):
+            stop = start + sum(1 for _ in group)
+            runs[sim] = range(start, stop)
+            start = stop
+        return runs
 
     @cached_property
     def pattern_masks(self) -> dict[tuple[int, ...], int]:
         """Atom mask of each diagonal pattern (partition)."""
-        masks: dict[tuple[int, ...], int] = {}
-        for idx, atom in enumerate(self.atoms):
-            masks[atom.sim] = masks.get(atom.sim, 0) | 1 << idx
-        return masks
+        return {sim: (1 << len(run)) - 1 << run.start for sim, run in self.pattern_atoms.items()}
+
+    def subst_table(self, sigma: tuple[int, ...]) -> tuple[int, ...]:
+        """The index of each atom's image under sigma, from one subst_plan
+        per pattern: its coordinates, n for an undefined value, pick the new
+        k out of k + (None,) (n >= 3 indices make itemgetter give a tuple)."""
+        atoms, index = self.atoms, self._index
+        table: list[int] = []
+        for sim, run in self.pattern_atoms.items():  # the runs cover the atoms in order
+            new_sim, coords = subst_plan(sim, sigma)
+            pick = itemgetter(*[self.n if c is None else c for c in coords])
+            table += [index[pick(atoms[a].k + (None,)), new_sim] for a in run]
+        return tuple(table)
 
     def golden_hash(self) -> str:
         payload = [[list(a.sim), [-1 if v is None else v for v in a.k]] for a in self.atoms]

@@ -10,19 +10,21 @@ algebra can be compared exactly.
 
 Both operators are completely additive (Jonsson-Tarski), so each is read
 off its action on atoms: c_i(x) ORs the R_i-class masks that meet x, and
-s_sigma(x) gathers the bits of x through sigma's atom table, eight elements
-per C-level call (s_many; s is its one-element case).  Only the tables of
-subst_generators(n) are built atom by atom, each atom's image read off the
-plan of its (partition, map) pair (atoms.subst_plan), of which there are
-one per pattern and generator; every other map is composed along
+s_sigma gathers bits through sigma's atom table.  s_lanes is the one
+substitution kernel: one gather of a lane string (bitset), which holds up
+to 8 elements; s_many and s run through it.  Only the tables of
+subst_generators(n) are built atom by atom (AtomStructure.subst_table),
+each pattern's images read off one plan per generator (atoms.subst_plan);
+every other map is composed along
 table[sigma o tau][a] = table[tau][table[sigma][a]], the Scomp identity of
 Henkin-Monk-Tarski, Cylindric Algebras I.  The diagonal masks are unions
 of the atoms' pattern masks.
 
 The ultrafilter structure reads the operators back through the public
-kernels: c_i on every singleton, and each substitution table through s_many
-on the ceil(log2 natoms) bit-slice elements (bitset.read_map), so the
-canonical-extension check tests the kernels against the stored relations.
+kernels: c_i on every singleton, and each substitution table through
+s_lanes on the lane strings of the ceil(log2 natoms) bit-slice elements,
+whose answers bitset.read_map decodes, so the canonical-extension check
+tests the kernels against the stored relations.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 
-from .atoms import (AtomStructure, all_sigmas, compose_sigma, restrict_partition,
-                    sigma_rank, subst_atom)
-from .bitset import gather_many, read_map
+from .atoms import AtomStructure, all_sigmas, compose_sigma, restrict_partition, sigma_rank
+from .bitset import gather_lanes, lanewise, read_map
 from .errors import SizeLimitError
 
 SIGNATURES = {
@@ -73,17 +74,17 @@ class RelStructure:
             ids: dict[tuple, int] = {}
             per_atom = []
             masks: list[int] = []
-            for a, atom in enumerate(atoms):
-                key = (atom.k[i], restrict_partition(atom.sim, i))
-                cid = ids.setdefault(key, len(ids))
-                if cid == len(masks):
-                    masks.append(0)
-                masks[cid] |= 1 << a
-                per_atom.append(cid)
+            for sim, run in s.pattern_atoms.items():  # the runs cover the atoms in order
+                rest = restrict_partition(sim, i)
+                for a in run:
+                    cid = ids.setdefault((atoms[a].k[i], rest), len(ids))
+                    if cid == len(masks):
+                        masks.append(0)
+                    masks[cid] |= 1 << a
+                    per_atom.append(cid)
             class_of.append(tuple(per_atom))
             class_masks.append(tuple(masks))
-        generators = {g: tuple(s.index_of(subst_atom(atom, g)) for atom in atoms)
-                      for g in subst_generators(n)}
+        generators = {g: s.subst_table(g) for g in subst_generators(n)}
         tables = {tuple(range(n)): tuple(range(len(atoms)))}
         reached = list(tables)
         for sigma in reached:
@@ -155,10 +156,15 @@ class FiniteBao:
         return self.s_many(sigma, [x])[0]
 
     def s_many(self, sigma: tuple[int, ...], xs: list[int]) -> list[int]:
-        """The substitution of each of xs, one gather pass per 8 elements."""
+        """The substitution of each of xs, through s_lanes 8 elements at a time."""
+        return lanewise(partial(self.s_lanes, sigma), xs, self.natoms)
+
+    def s_lanes(self, sigma: tuple[int, ...], lanes: bytes) -> bytes:
+        """The substitution of the up to 8 elements of a lane string
+        (bitset): one gather of its bytes through sigma's atom table."""
         if "s" not in self.ops:
             raise ValueError(f"substitutions not in signature {self.signature}")
-        return gather_many(self.rel.subst_for(sigma), xs, self.natoms)
+        return gather_lanes(self.rel.subst_for(sigma), lanes)
 
     # derived elements ------------------------------------------------------
     def dist_element(self, i: int) -> int:
@@ -218,7 +224,7 @@ class FiniteBao:
         ultrafilters when the operator image of the generators lands inside
         the result ultrafilter.  For unary operators that reduces to reading
         the operator off singleton elements: R_i is read from c_i on every
-        singleton, and each substitution table from the public s_many on
+        singleton, and each substitution table from the public s_lanes on
         the bit-slice elements (bitset.read_map), never from the stored
         tables.  A principal ultrafilter contains d_ij iff its atom lies in
         d_ij, so the diagonal masks carry over as they are; so do the
@@ -246,7 +252,7 @@ class FiniteBao:
             class_of.append(tuple(per_atom))
             class_masks.append(tuple(masks))
         if "s" in self.ops:
-            subst = tuple(read_map(partial(self.s_many, sigma), nat, nat)
+            subst = tuple(read_map(partial(self.s_lanes, sigma), nat, nat)
                           for sigma in all_sigmas(self.n))
         else:
             subst = self.rel.subst_tables

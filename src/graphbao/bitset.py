@@ -1,27 +1,28 @@
 """Helpers for int-backed bitsets. Bit k of a mask stands for item k.
 
 An atom map f: range(nsrc) -> range(ntgt) acts on bitsets by preimage: the
-gather of x through f's table is {a : f(a) in x}.  gather_many computes it
-for a list of elements, and read_map inverts it, recovering f from any
-callable that computes its preimages.
+gather of x through f's table is {a : f(a) in x}.  gather_lanes is the one
+gather kernel.  It works on a lane string: byte b of the string holds bit b
+of the j-th of up to 8 elements as its bit j (lane j), so gathering the
+bytes moves all 8 lanes at once.  lanewise runs a lane kernel on a list of
+elements (gather_many is gather_lanes through it), and read_map inverts a
+lane kernel, recovering f from any kernel that computes its preimages and
+decoding f straight from the answer bytes.
 
-gather_many moves up to 8 elements per itemgetter pass through a lane
-string: byte b of the string holds bit b of the j-th element as its bit j
-(lane j).  Gathering the bytes moves all 8 lanes at once.  Packing and
-unpacking are one transpose.  Read as one little-endian integer, each 64-bit
-word of a buffer is an 8 x 8 bit matrix, and three masked shift-and-swap
-rounds on the whole integer (Warren, Hacker's Delight, 7-3) transpose every
-word at once.  With byte m of element j written to byte j of word m, the
-transpose yields the lane string; applied to the gathered lane string it
-puts lane j into byte j of each word, so lane j is every 8th byte from
-byte j.  read_map decodes its answers through the same layout.
+Packing and unpacking are one transpose.  Read as one little-endian
+integer, each 64-bit word of a buffer is an 8 x 8 bit matrix, and three
+masked shift-and-swap rounds on the whole integer (Warren, Hacker's
+Delight, 7-3) transpose every word at once.  With byte m of element j
+written to byte j of word m, the transpose yields the lane string; applied
+to a lane string it puts lane j into byte j of each word, so lane j is
+every 8th byte from byte j.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -76,73 +77,74 @@ def _lanes(xs: Sequence[int], width: int) -> bytes:
     return moved.to_bytes(8 * words, "little")[:width]
 
 
-def gather_many(table: Sequence[int], xs: Sequence[int], width: int) -> list[int]:
-    """Per element x of xs, the set whose bit a is bit table[a] of x, for
-    a < len(table); width is at least every x's bit length and every table
-    entry.  One itemgetter pass per 8 elements.
-
-    Each chunk of 8 is packed into one lane string, gathered, transposed
-    word by word and read back lane by lane; nothing is kept from one chunk
-    to the next.
-    """
+def gather_lanes(table: Sequence[int], lanes: bytes) -> bytes:
+    """The lane string whose byte a is byte table[a] of lanes: all 8 lanes
+    gathered through table at once."""
     if len(table) < 2:
-        # itemgetter of no index raises, and of one returns a bare item
-        return [x >> table[0] & 1 if table else 0 for x in xs]
-    get = itemgetter(*table)
-    words = -(-len(table) // 8)
+        # itemgetter of no index raises, and of one returns a bare int,
+        # which bytes() would read as a length
+        return bytes(lanes[a] for a in table)
+    return bytes(itemgetter(*table)(lanes))
+
+
+def lanewise(kernel: Callable[[bytes], bytes], xs: Sequence[int], width: int) -> list[int]:
+    """kernel on each element of xs: up to 8 elements at a time are packed
+    into one lane string of width bytes (width is at least every x's bit
+    length), and the answer is transposed word by word and read lane by lane."""
     out = []
     for start in range(0, len(xs), 8):
         chunk = xs[start:start + 8]
-        moved = int.from_bytes(bytes(get(_lanes(chunk, width))), "little")
-        by_lane = _transpose(moved, words).to_bytes(8 * words, "little")
+        answer = kernel(_lanes(chunk, width))
+        words = -(-len(answer) // 8)
+        by_lane = _transpose(int.from_bytes(answer, "little"), words).to_bytes(8 * words, "little")
         out += [int.from_bytes(by_lane[j::8], "little") for j in range(len(chunk))]
     return out
 
 
-@lru_cache(maxsize=256)  # read_map asks for the same few slices map after map
-def bit_slice(k: int, n: int) -> int:
-    """The set {b < n : bit k of b is 1}."""
-    half = 1 << k
-    period = half << 1
-    block = ((1 << half) - 1) << half  # the pattern over one period
-    copies = ((1 << period * -(-n // period)) - 1) // ((1 << period) - 1)
-    return block * copies & ((1 << n) - 1)
+def gather_many(table: Sequence[int], xs: Sequence[int], width: int) -> list[int]:
+    """Per element x of xs, the set whose bit a is bit table[a] of x, for
+    a < len(table); width is at least every x's bit length and every table
+    entry.  One gather_lanes pass per 8 elements."""
+    return lanewise(partial(gather_lanes, table), xs, width)
 
 
-def read_map(preimages: Callable[[list[int]], list[int]], nsrc: int,
-             ntgt: int) -> tuple[int, ...]:
+@lru_cache(maxsize=16)  # read_map asks for the same few strings map after map
+def _slice_lanes(byte: int, ntgt: int) -> bytes:
+    """Slices 8 * byte .. 8 * byte + 7 of range(ntgt) as one lane string:
+    slice k, in lane k % 8, is the set of b < ntgt with bit k set, so byte b
+    of the string is byte `byte` of b."""
+    return bytes(b >> 8 * byte & 255 for b in range(ntgt))
+
+
+def read_map(preimages: Callable[[bytes], bytes], nsrc: int, ntgt: int) -> tuple[int, ...]:
     """The map f: range(nsrc) -> range(ntgt) whose preimage operator is given.
 
-    preimages is batched: it maps a list of elements to the list of their
-    preimages.  Bit k of f(a) is bit a of the preimage of bit_slice(k, ntgt),
-    so ceil(log2(ntgt)) slices determine f; read_map asks for them in one
-    call per 8 slices, slices 8m .. 8m + 7 in call m.  The answers of call m
-    form one lane string (slice k in lane k % 8, so byte a is byte m of
-    f(a)), and those strings are interleaved into fixed-width little-endian
-    slots that array reads as one integer per item.
+    preimages works on lane strings: it maps the lane string of up to 8
+    elements of range(ntgt) to the lane string of their preimages.  Bit k of
+    f(a) is bit a of the preimage of slice k, the set of b < ntgt with bit k
+    set, so ceil(log2(ntgt)) slices determine f; read_map asks for them in
+    one call per 8 slices, slices 8m .. 8m + 7 in call m.  Byte a of the
+    answer to call m is then byte m of f(a), and the answers are interleaved
+    into fixed-width little-endian slots that array reads as one integer per
+    item.
 
-    Raises RuntimeError when an answer has a bit at or beyond nsrc or a
-    decoded value is not below ntgt: then preimages is no preimage operator
-    of a map into range(ntgt).  The values are compared with ntgt on the
-    answers themselves, from the lowest bit up.
+    Raises RuntimeError when an answer is not nsrc bytes long (it has bits
+    outside range(nsrc)) or a decoded value is not below ntgt: then
+    preimages is no preimage operator of a map into range(ntgt).
     """
     nbits = max(ntgt - 1, 0).bit_length()
     typecode = next(t for t in "BHILQ" if array(t).itemsize * 8 >= nbits)
     slot = array(typecode).itemsize
     buf = bytearray(nsrc * slot)
-    # the items a with f(a) % 2**k >= ntgt % 2**k, k the slices read so far
-    at_least = (1 << nsrc) - 1
     for byte in range(-(-nbits // 8)):
-        slices = range(8 * byte, min(8 * byte + 8, nbits))
-        answers = preimages([bit_slice(k, ntgt) for k in slices])
-        if not all(0 <= a < 1 << nsrc for a in answers):
+        answer = preimages(_slice_lanes(byte, ntgt))
+        if len(answer) != nsrc:
             raise RuntimeError(f"preimage has bits outside range({nsrc})")
-        buf[byte::slot] = _lanes(answers, nsrc)
-        for k, answer in zip(slices, answers):
-            at_least = at_least & answer if ntgt >> k & 1 else at_least | answer
-    if at_least and ntgt != 1 << nbits:  # a power of two bounds every value
-        raise RuntimeError(f"decoded an atom index outside range({ntgt})")
-    values = array(typecode, buf)
+        buf[byte::slot] = answer
+    decoded = array(typecode, buf)
     if sys.byteorder == "big":
-        values.byteswap()
-    return tuple(values)
+        decoded.byteswap()
+    values = tuple(decoded)  # max runs faster over a tuple's ints than over an array
+    if values and max(values) >= ntgt:
+        raise RuntimeError(f"decoded an atom index outside range({ntgt})")
+    return values

@@ -17,7 +17,7 @@ from operator import itemgetter
 from .atoms import (Atom, AtomStructure, all_sigmas, atom_is_valid, enumerate_atoms,
                     DEFAULT_ATOM_BOUND)
 from .bao import FiniteBao, complex_algebra
-from .bitset import gather_many, read_map
+from .bitset import gather_lanes, lanewise, read_map
 from .graph import (Graph, VertexMap, chromatic_number, compose_maps, graph_from_json,
                     graph_to_json, is_p_morphism, is_surjective)
 from .report import Report
@@ -124,8 +124,13 @@ class AlgebraEmbedding:
         return self.many([element])[0]
 
     def many(self, elements: list[int]) -> list[int]:
-        """The preimage of each element, one gather pass per 8 elements."""
-        return gather_many(self.mapping, elements, self.domain.natoms)
+        """The preimage of each element, through lanes 8 elements at a time."""
+        return lanewise(self.lanes, elements, self.domain.natoms)
+
+    def lanes(self, lanes: bytes) -> bytes:
+        """The preimages of the up to 8 elements of a lane string (bitset):
+        one gather of its bytes through the atom map."""
+        return gather_lanes(self.mapping, lanes)
 
 
 def dual_embedding(g: AtomPMorphism) -> AlgebraEmbedding:
@@ -198,16 +203,16 @@ def dual_surjection(emb: AlgebraEmbedding) -> AtomPMorphism:
 
     Each atom of the codomain sits inside the image of exactly one atom of
     the domain; that atom is its image.  The map is read back through the
-    embedding's batched call on bit-slice elements (bitset.read_map), which
-    raises RuntimeError when the embedding is no preimage operator of an
-    atom map.
+    embedding's lane call on the bit-slice elements (bitset.read_map),
+    which raises RuntimeError when the embedding is no preimage operator of
+    an atom map.
     """
     source = emb.codomain.atom_structure
     target = emb.domain.atom_structure
     if source is None or target is None:
         raise RuntimeError("dual surjection needs atom-structure provenance")
     return AtomPMorphism(source, target,
-                         read_map(emb.many, emb.codomain.natoms, emb.domain.natoms))
+                         read_map(emb.lanes, emb.codomain.natoms, emb.domain.natoms))
 
 
 def check_chain(chain: GraphChain, n: int, seed: int = 1, samples: int = 300,

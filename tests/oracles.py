@@ -10,7 +10,7 @@ from dataclasses import replace
 from operator import itemgetter
 
 from graphbao.atoms import (Atom, all_partitions, all_sigmas, compose_sigma, is_i_distinguishing,
-                            missed_coordinate, restrict_partition, subst_partition)
+                            missed_coordinate, restrict_partition, subst_partition, subst_plan)
 from graphbao.bao import FiniteBao, RelStructure
 from graphbao.bitset import iter_bits
 from graphbao.equations import UnboundVariableError, Verdict
@@ -283,6 +283,31 @@ def gather(table, x: int, width: int) -> int:
     return int("".join(itemgetter(*table)(bits))[::-1], 2)
 
 
+def bit_slice(k: int, n: int) -> int:
+    """The set {b < n : bit k of b is 1}: the element that bitset.read_map
+    puts in lane k % 8 of its call for index byte k // 8."""
+    half = 1 << k
+    period = half << 1
+    block = ((1 << half) - 1) << half  # the pattern over one period
+    copies = ((1 << period * -(-n // period)) - 1) // ((1 << period) - 1)
+    return block * copies & ((1 << n) - 1)
+
+
+def lane_preimages(preimages, nsrc: int):
+    """A lane-level preimage callable (bitset.read_map's interface) from an
+    element-level one: lanes 0 .. j of the input, j its highest lane with a
+    bit, are read digit by digit into elements, and their answers are packed
+    with lanes_by_digits into nsrc bytes (more when an answer has a bit at or
+    beyond nsrc)."""
+    def lanes(string: bytes) -> bytes:
+        count = max(string, default=0).bit_length()
+        xs = [int("".join(str(byte >> j & 1) for byte in reversed(string)) or "0", 2)
+              for j in range(count)]
+        answers = preimages(xs)
+        return lanes_by_digits(answers, max([nsrc] + [a.bit_length() for a in answers]))
+    return lanes
+
+
 def lanes_by_digits(xs, width: int) -> bytes:
     """bitset._lanes through digit strings: the digits of xs[j], most
     significant first, become bytes holding 0 or 1 << j, so one big-endian
@@ -443,8 +468,15 @@ def subst_columns(table, columns) -> list[tuple[str, ...]]:
     return [columns[b] for b in table]
 
 
+def subst_atom(atom: Atom, sigma: tuple[int, ...]) -> Atom:
+    """The image of one atom under sigma, by the plan of its (partition,
+    map) pair: AtomStructure.subst_table's rule for a single atom."""
+    new_sim, coords = subst_plan(atom.sim, sigma)
+    return Atom(tuple([None if c is None else atom.k[c] for c in coords]), new_sim)
+
+
 def subst_atom_per_atom(atom: Atom, sigma: tuple[int, ...]) -> Atom:
-    """atoms.subst_atom without its (partition, map) plan: the partition,
+    """subst_atom without its (partition, map) plan: the partition,
     the distinguishing test and the missed coordinate, atom by atom.
 
     The new value at i exists iff the new partition is i-distinguishing, and

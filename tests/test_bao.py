@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from functools import partial
 from operator import itemgetter
@@ -123,6 +125,20 @@ def probed_algebra(request):
     probes += [1 << a for a in range(0, algebra.natoms, max(1, algebra.natoms // 7))]
     probes += [rng.getrandbits(algebra.natoms) for _ in range(200)]
     return algebra, direct_subst_tables(structure), probes
+
+
+class TestPinnedTables:
+    """The R_i class ids and masks and the substitution tables, as sha256 of
+    their JSON (masks in hex), pinned so that any rewrite of the table build
+    keeps every id, mask and entry."""
+
+    @pytest.mark.parametrize("name, n, digest", [("K2", 4, "b9c4be38080ca898"),
+                                                 ("C6", 3, "98ae3a8714acf583")])
+    def test_tables_are_pinned(self, name, n, digest):
+        rel = enumerate_atoms(DIFFERENTIAL_GRAPHS[name], n, max_atoms=6000).tables()
+        masks = [[format(m, "x") for m in row] for row in rel.cyl_class_masks]
+        blob = json.dumps([rel.cyl_class_of, masks, rel.subst_tables], separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
 
 
 class TestKernelsAgainstOracles:
@@ -427,16 +443,18 @@ class TestUltrafilterStructure:
 
 
 class FlippedS(FiniteBao):
-    """The batched s, which the read-back calls, flips one output bit, for
-    one map only."""
+    """The one substitution kernel flips one output bit in every lane, for
+    one map only, so s, s_many and the read-back all see the flip."""
 
     def __init__(self, rel, sigma, bit):
         super().__init__(rel)
         self.flip = sigma, bit
 
-    def s_many(self, sigma, xs):
-        out = super().s_many(sigma, xs)
-        return [y ^ 1 << self.flip[1] for y in out] if sigma == self.flip[0] else out
+    def s_lanes(self, sigma, lanes):
+        out = bytearray(super().s_lanes(sigma, lanes))
+        if sigma == self.flip[0]:
+            out[self.flip[1]] ^= 0xFF
+        return bytes(out)
 
 
 class ShiftedC0(FiniteBao):
@@ -455,13 +473,16 @@ class TestUltrafilterChecks:
         for algebra in (a_k1, a_k2):
             nat = algebra.natoms
             for sigma, table in zip(all_sigmas(3), algebra.rel.subst_tables):
-                assert read_map(partial(algebra.s_many, sigma), nat, nat) == table
+                assert read_map(partial(algebra.s_lanes, sigma), nat, nat) == table
                 preimage = partial(algebra.s, sigma)
                 assert read_map_by_singletons(preimage, nat, nat) == table
 
     @pytest.mark.parametrize("rank, bit", [(0, 0), (5, 17), (13, 33), (26, 20)])
     def test_flipped_s_output_bit_is_caught(self, a_k1, rank, bit):
         broken = FlippedS(a_k1.rel, all_sigmas(3)[rank], bit)
+        sigma, x = all_sigmas(3)[rank], 0b1011 << 9
+        assert broken.s(sigma, x) == a_k1.s(sigma, x) ^ 1 << bit
+        assert broken.s_many(sigma, [x] * 9) == [a_k1.s(sigma, x) ^ 1 << bit] * 9
         try:
             recovered = broken.ultrafilter_structure()
         except RuntimeError:

@@ -1,14 +1,14 @@
 """Property tests: the lane packer agrees with the digit-string packer,
-gather_many agrees with the one-element oracle gather, and read_map inverts
-it."""
+gather_lanes and gather_many agree with the one-element oracle gather, and
+read_map inverts gather_lanes."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from graphbao.bitset import _lanes, bit_slice, gather_many, read_map  # noqa: E402
-from oracles import gather, lanes_by_digits  # noqa: E402
+from graphbao.bitset import _lanes, gather_lanes, gather_many, read_map  # noqa: E402
+from oracles import bit_slice, gather, lane_preimages, lanes_by_digits  # noqa: E402
 
 # 1, 2, 3 and 2^k, 2^k + 1 up to past 2^16, where slots grow to four bytes
 TARGET_SIZES = st.one_of(
@@ -68,6 +68,16 @@ def test_gather_many_matches_gather(case):
     assert gather_many(table, xs, width) == [gather(table, x, width) for x in xs]
 
 
+@hypothesis.settings(max_examples=400, deadline=None, database=None)
+@hypothesis.given(batches())
+def test_gather_lanes_matches_gather(case):
+    # on at most 8 elements, packed and read back by the digit-string oracle
+    table, xs, width = case
+    xs = xs[:8]
+    expected = lanes_by_digits([gather(table, x, width) for x in xs], len(table))
+    assert gather_lanes(table, lanes_by_digits(xs, width)) == expected
+
+
 @hypothesis.settings(max_examples=300, deadline=None, database=None)
 @hypothesis.example(((), 1))
 @hypothesis.example(((0, 0), 1))
@@ -81,9 +91,9 @@ def test_read_map_inverts_gather(case):
     f, ntgt = case
     calls = []
 
-    def preimages(xs):
-        calls.append(len(xs))
-        return gather_many(f, xs, ntgt)
+    def preimages(lanes):
+        calls.append(max(lanes, default=0).bit_length())  # the lanes in use
+        return gather_lanes(f, lanes)
 
     assert read_map(preimages, len(f), ntgt) == f
     nbits = (ntgt - 1).bit_length()
@@ -113,8 +123,9 @@ def test_read_map_rejects_exactly_the_values_outside_the_target(case):
     def preimages(xs):
         return [sum(1 << a for a, v in enumerate(f) if v >> slice_of[x] & 1) for x in xs]
 
+    lanes = lane_preimages(preimages, len(f))
     if any(v >= ntgt for v in f):
         with pytest.raises(RuntimeError, match="outside range"):
-            read_map(preimages, len(f), ntgt)
+            read_map(lanes, len(f), ntgt)
     else:
-        assert read_map(preimages, len(f), ntgt) == f
+        assert read_map(lanes, len(f), ntgt) == f

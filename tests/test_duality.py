@@ -164,6 +164,19 @@ class DroppedAtom(AlgebraEmbedding):
         return super().many([x & ~(1 << self.atom) for x in elements])
 
 
+@dataclass
+class FlippedByte(AlgebraEmbedding):
+    """The lane kernel flips every lane's bit `byte` of its answer, so many,
+    the embedding itself and the read-back all see the flip."""
+
+    byte: int = 0
+
+    def lanes(self, lanes):
+        out = bytearray(super().lanes(lanes))
+        out[self.byte] ^= 0xFF
+        return bytes(out)
+
+
 class TestEmbeddingMutations:
     @staticmethod
     def failed(emb):
@@ -205,8 +218,8 @@ class TestEmbeddingAgainstOracles:
     def test_read_map_matches_singletons(self, wrap63):
         emb = dual_embedding(wrap63)
         nsrc, ntgt = emb.codomain.natoms, emb.domain.natoms
-        assert read_map(emb.many, nsrc, ntgt) == read_map_by_singletons(emb, nsrc, ntgt)
-        assert read_map(emb.many, nsrc, ntgt) == wrap63.mapping
+        assert read_map(emb.lanes, nsrc, ntgt) == read_map_by_singletons(emb, nsrc, ntgt)
+        assert read_map(emb.lanes, nsrc, ntgt) == wrap63.mapping
 
 
 class TestDualSurjection:
@@ -224,6 +237,17 @@ class TestDualSurjection:
         emb = AlgebraEmbedding(FiniteBao(rel), FiniteBao(rel), tuple(range(rel.natoms)))
         with pytest.raises(RuntimeError):
             dual_surjection(emb)
+
+    @pytest.mark.parametrize("byte", [0, 100, 5670])
+    def test_flipped_lane_byte_is_caught(self, wrap63, byte):
+        emb = dual_embedding(wrap63)
+        broken = FlippedByte(emb.domain, emb.codomain, emb.mapping, byte)
+        assert broken(0) == 1 << byte
+        try:
+            back = dual_surjection(broken)
+        except RuntimeError:
+            return
+        assert back.mapping != wrap63.mapping
 
     def test_surjectivity_by_image_count(self, wrap63):
         back = dual_surjection(dual_embedding(wrap63))
