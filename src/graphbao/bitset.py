@@ -5,9 +5,8 @@ gather of x through f's table is {a : f(a) in x}.  gather_lanes is the one
 gather kernel.  It works on a lane string: byte b of the string holds bit b
 of the j-th of up to 8 elements as its bit j (lane j), so gathering the
 bytes moves all 8 lanes at once.  lanewise runs a lane kernel on a list of
-elements (gather_many is gather_lanes through it), and read_map inverts a
-lane kernel, recovering f from any kernel that computes its preimages and
-decoding f straight from the answer bytes.
+elements, and read_map inverts a lane kernel, recovering f from any kernel
+that computes its preimages and decoding f straight from the answer bytes.
 
 Packing and unpacking are one transpose.  Read as one little-endian
 integer, each 64-bit word of a buffer is an 8 x 8 bit matrix, and three
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -99,13 +98,6 @@ def lanewise(kernel: Callable[[bytes], bytes], xs: Sequence[int], width: int) ->
         by_lane = _transpose(int.from_bytes(answer, "little"), words).to_bytes(8 * words, "little")
         out += [int.from_bytes(by_lane[j::8], "little") for j in range(len(chunk))]
     return out
-
-
-def gather_many(table: Sequence[int], xs: Sequence[int], width: int) -> list[int]:
-    """Per element x of xs, the set whose bit a is bit table[a] of x, for
-    a < len(table); width is at least every x's bit length and every table
-    entry.  One gather_lanes pass per 8 elements."""
-    return lanewise(partial(gather_lanes, table), xs, width)
 
 
 @lru_cache(maxsize=16)  # read_map asks for the same few strings map after map

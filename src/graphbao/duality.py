@@ -233,6 +233,8 @@ def check_chain(chain: GraphChain, n: int, seed: int = 1, samples: int = 300,
     for s, step in enumerate(chain.steps):
         ok_p = is_p_morphism(step) and is_surjective(step)
         report.add(f"step {s}: surjective graph p-morphism", ok_p)
+        if not ok_p:  # nothing to lift; the report says which step failed
+            return report
         lifted = lift(step, n, max_atoms,
                       source_structure=structures[s + 1],
                       target_structure=structures[s])

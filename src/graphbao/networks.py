@@ -279,10 +279,10 @@ def _subset_tables(n: int, nodes: tuple[int, ...], w0: tuple[int, ...] | None):
     z = `nodes[-1]`, with w0 pre-labelled (None when an old tuple witnesses
     the move): the sorted fresh tuples (those holding z) and, per tuple c
     listing a new maximal node subset in search order, c's diagonal pattern,
-    its cylindric neighbours (i, c with entry i replaced) and images (rank,
-    c o sigma) that are labelled when c is picked (old tuples, w0, images of
-    earlier subsets), and its free images, which the pick labels.  An image
-    tuple appears once, with the first sigma in rank order that gives it."""
+    its images (rank, c o sigma) that are labelled when c is picked (old
+    tuples, w0, images of earlier subsets) and its free images, which the
+    pick labels.  Every tuple on c's node set is an image of c; each
+    appears once, with the first sigma in rank order that gives it."""
     z = nodes[-1]
     if len(nodes) <= n:
         listings = [nodes + (z,) * (n - len(nodes))]
@@ -295,8 +295,6 @@ def _subset_tables(n: int, nodes: tuple[int, ...], w0: tuple[int, ...] | None):
         for rank, sigma in enumerate(all_sigmas(n)):
             images.setdefault(tuple(c[s] for s in sigma), rank)
         plan.append((canonical_partition(c),
-                     [(i, u) for i in range(n) for node in nodes if node != c[i]
-                      for u in [c[:i] + (node,) + c[i + 1:]] if u in labelled],
                      [(rank, u) for u, rank in images.items() if u in labelled],
                      [(rank, u) for u, rank in images.items() if u not in labelled]))
         labelled.update(images)
@@ -312,28 +310,35 @@ def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove, witnessed: 
     one stops the search at its first labelling.
 
     In polyadic mode a tuple is c o sigma for a tuple c listing a maximal
-    node subset that holds its image, so its label is T_sigma[label of c]
-    (T the substitution tables).  The demanded atom is pre-assigned at w0
-    unless an old tuple witnesses the move.  Along the plan of
-    _subset_tables, the search picks one label x per new maximal subset
-    from c's pattern mask, cut by the R_i class of each labelled cylindric
-    neighbour and by the preimage of each labelled image's label, and
-    writes T_sigma[x] at each free image.  Every leaf is a response, by
-    three facts about the tables (tests pin them on every atom and map):
+    node subset that holds its image.  The demanded atom is pre-assigned at
+    w0 unless an old tuple witnesses the move.  Along the plan of
+    _subset_tables, the search picks one label x_c per new maximal subset
+    from c's pattern mask, cut by the preimage of each labelled image's
+    label, and writes T_sigma[x_c] (T the substitution tables) at each free
+    image.  Every leaf is a response, by two facts about the tables (tests
+    pin them on every atom and map):
 
     * L1: if sigma and sigma' agree off i, T_sigma[x] R_i T_sigma'[x];
-    * L2: if x R_k y and sigma^-1(k) = {i}, T_sigma[x] R_i T_sigma[y];
     * L3: if sigma(j) and sigma'(j) share a block of x's partition for
       every j, T_sigma[x] = T_sigma'[x].
 
-    By L3 one write per tuple c o sigma suffices.  With the neighbour cut,
-    L1 and L2 put each cylindric line through the fresh node in one class:
-    inside c's node set by L1; out of c to an old tuple, or into an
-    overlapping subset c' (c[j -> u] = c' o pi is cut against whichever
-    of c and c' is picked first), by L2.  Each network is still validated
-    on its fresh tuples, a guard that raises RuntimeError; that is the
-    full check because the parent is valid (a tuple without the fresh node
-    has no image with it, and the cylindric relation is symmetric).
+    Each tuple c o sigma carries T_sigma[x_c]: the pick writes it, or the
+    preimage cut forces it if the tuple is already labelled (old, w0, or
+    an earlier subset's).  x_c has c's pattern, so by L3 every sigma giving
+    the tuple gives that label.  So each cylindric line through the fresh
+    node stays in one R_i class.  Take t fresh, u = t[i -> w] and
+    v = t[i -> t[j]] with j != i: v = u[i -> u[j]] lies in every node set
+    that holds t or u.  With t = c o sigma and sigma' = sigma[i -> sigma(j)],
+    c o sigma' = v, so L1 gives label(t) R_i label(v).  The same holds
+    for u if it is fresh; if u is old, so is v, and the valid parent
+    relates them.  R_i is an equivalence.  (With at most n nodes the one
+    listing holds every node, so each cylindric neighbour is one of its
+    images.)
+
+    Each network is still validated on its fresh tuples, a guard that
+    raises RuntimeError; that is the full check because the parent is
+    valid (a tuple without the fresh node has no image with it, and the
+    cylindric relation is symmetric).
     """
     n = m.n
     v, i, a = move.v, move.i, move.atom
@@ -345,19 +350,16 @@ def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove, witnessed: 
     fresh, plan = _subset_tables(n, nodes2, None if witnessed else w0)
     order = [w0] + [t for t in fresh if t != w0]
     key = itemgetter(*order)
-    rel = m.algebra.rel
-    class_of, class_masks, tables = rel.cyl_class_of, rel.cyl_class_masks, rel.subst_tables
-    pattern_masks, preimage_masks = m.structure.pattern_masks, m.preimage_masks
+    tables, preimage_masks = m.algebra.rel.subst_tables, m.preimage_masks
+    pattern_masks = m.structure.pattern_masks
     assigned = dict(net.labels) if witnessed else {**net.labels, w0: a}
 
     def label(pos):
         if pos == len(plan):
             yield key(assigned)
             return
-        pattern, cyl, images, free = plan[pos]
+        pattern, images, free = plan[pos]
         mask = pattern_masks.get(pattern, 0)
-        for i2, u in cyl:
-            mask &= class_masks[i2][class_of[i2][assigned[u]]]
         for rank, u in images:
             mask &= preimage_masks[rank][assigned[u]]
         # a later subset reads only what the plan says is labelled before it

@@ -7,12 +7,13 @@ import heapq
 import itertools
 import random
 from dataclasses import replace
+from functools import partial
 from operator import itemgetter
 
 from graphbao.atoms import (Atom, all_partitions, all_sigmas, compose_sigma, is_i_distinguishing,
                             missed_coordinate, restrict_partition, subst_partition, subst_plan)
 from graphbao.bao import FiniteBao, RelStructure
-from graphbao.bitset import iter_bits
+from graphbao.bitset import gather_lanes, iter_bits, lanewise
 from graphbao.equations import UnboundVariableError, Verdict
 from graphbao.errors import InfeasibleError, SizeLimitError
 from graphbao.graph import Graph, inflate
@@ -274,8 +275,15 @@ def generated_subalgebra_closure(algebra, gens, bound: int = 4096) -> list[int]:
     return sorted(elems)
 
 
+def gather_many(table, xs, width: int) -> list[int]:
+    """Per element x of xs, the set whose bit a is bit table[a] of x, for
+    a < len(table); width is at least every x's bit length and every table
+    entry.  One bitset.gather_lanes pass per 8 elements, through lanewise."""
+    return lanewise(partial(gather_lanes, table), xs, width)
+
+
 def gather(table, x: int, width: int) -> int:
-    """bitset.gather_many for one element: bit a of the result is bit
+    """gather_many for one element: bit a of the result is bit
     table[a] of x, read through x's bit string."""
     if len(table) < 2:
         return x >> table[0] & 1 if table else 0

@@ -169,9 +169,10 @@ class TestKernelsAgainstOracles:
 
 
 class TestSearchLemmas:
-    """The three facts about the stored tables T_sigma and R_i classes that
-    let the extension search keep every leaf without a check (see
-    networks._extension_networks), on every atom, map and coordinate."""
+    """Facts about the stored tables T_sigma and R_i classes, on every atom,
+    map and coordinate.  L1 and L3 let the extension search keep every leaf
+    without a check (see networks._extension_networks); L2 is not used
+    there and stays pinned as a fact of the tables."""
 
     def test_l1_maps_agreeing_off_i_keep_the_r_i_class(self, probed_algebra):
         algebra, _, _ = probed_algebra

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from graphbao.bitset import gather_lanes, gather_many, read_map
-from oracles import bit_slice, gather, lane_preimages
+from graphbao.bitset import gather_lanes, read_map
+from oracles import bit_slice, gather, gather_many, lane_preimages
 
 
 def test_bit_slices():

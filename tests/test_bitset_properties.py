@@ -7,8 +7,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from graphbao.bitset import _lanes, gather_lanes, gather_many, read_map  # noqa: E402
-from oracles import bit_slice, gather, lane_preimages, lanes_by_digits  # noqa: E402
+from graphbao.bitset import _lanes, gather_lanes, read_map  # noqa: E402
+from oracles import (bit_slice, gather, gather_many, lane_preimages,  # noqa: E402
+                     lanes_by_digits)
 
 # 1, 2, 3 and 2^k, 2^k + 1 up to past 2^16, where slots grow to four bytes
 TARGET_SIZES = st.one_of(

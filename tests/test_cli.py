@@ -332,6 +332,20 @@ class TestDualVerbs:
                              "--atom-bound", "6000", "--samples", "100")
         assert code == 0
 
+    @pytest.mark.parametrize("target, step", [
+        ({"vertices": 2, "edges": [[0, 1]]}, [0, 0]),
+        ({"vertices": 4, "edges": [[0, 1], [2, 3]]}, [0, 1]),
+    ], ids=["not-a-p-morphism", "not-surjective"])
+    def test_check_chain_reports_a_bad_step(self, capsys, tmp_path, target, step):
+        # step 0 maps K2 (stages[1]) onto one vertex of K2, or into one edge of 2K2
+        chain = {"stages": [target, {"vertices": 2, "edges": [[0, 1]]}], "steps": [step]}
+        chain_file = tmp_path / "chain.json"
+        chain_file.write_text(json.dumps(chain))
+        code, out, err = run_cli(capsys, "dual", "check-chain", str(chain_file))
+        assert code == 1 and err == ""
+        assert out.splitlines()[-2:] == ["[FAIL] step 0: surjective graph p-morphism",
+                                         "graph-chain: FAILED"]
+
     @pytest.mark.parametrize("document", [
         {"stages": [{"vertices": 1, "edges": []}] * 2, "steps": 5},
         [{"vertices": 1, "edges": []}],
