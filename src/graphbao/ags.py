@@ -36,16 +36,12 @@ class AgsModel:
         self.vtop = (1 << self.vertex_count) - 1
         base = self.base_graph.vertex_count
         self.h_masks = tuple(((1 << base) - 1) << (i * base) for i in range(self.n))
-        # value of each atom at each coordinate (-1 when undefined)
-        self.atom_value = tuple(
-            tuple(-1 if atom.k[i] is None else atom.k[i] for atom in self.structure.atoms)
-            for i in range(self.n))
         lift = []
-        for i in range(self.n):
+        for points in self.proj_points:
             per_vertex = [0] * self.vertex_count
-            dist = self.algebra.dist_element(i)
-            for a in iter_bits(dist):
-                per_vertex[self.atom_value[i][a]] |= 1 << a
+            for a, point in enumerate(points):
+                if point is not None:
+                    per_vertex[point] |= 1 << a
             lift.append(tuple(per_vertex))
         self._lift_masks = tuple(lift)
 
@@ -65,10 +61,11 @@ class AgsModel:
 
     @cached_property
     def proj_points(self) -> tuple[tuple[int | None, ...], ...]:
-        """[i][atom] -> proj_point(atom, i)."""
-        return tuple(
-            tuple(v if dist >> a & 1 else None for a, v in enumerate(self.atom_value[i]))
-            for i, dist in enumerate(map(self.algebra.dist_element, range(self.n))))
+        """[i][atom] -> proj_point(atom, i): the atom's value at i when it is
+        i-distinguishing, else None."""
+        atoms = self.structure.atoms
+        return tuple(tuple(atom.k[i] if dist >> a & 1 else None for a, atom in enumerate(atoms))
+                     for i, dist in enumerate(map(self.algebra.dist_element, range(self.n))))
 
     def proj_point(self, atom: int, i: int) -> int | None:
         """Vertex generating the i-projection of the principal ultrafilter
@@ -253,7 +250,7 @@ def check_projection_properties(m: AgsModel) -> Report:
                 continue
             fd = A.dist_element(i) & A.d(i, j)
             for p in range(m.vertex_count):
-                matches = [a for a in iter_bits(fd) if m.atom_value[i][a] == p]
+                matches = [a for a in iter_bits(fd) if points[i][a] == p]
                 if len(matches) != 1:
                     ok = False
     report.add("unique distinguishing-diagonal atom per vertex", ok)

@@ -128,26 +128,6 @@ class Atom:
         return (self.sim, tuple(-1 if v is None else v for v in self.k))
 
 
-def atom_is_valid(atom: Atom, inflated: Graph) -> bool:
-    n = len(atom.sim)
-    if len(atom.k) != n or atom.sim != canonical_partition(atom.sim):
-        return False
-    for v in atom.k:
-        if v is not None and not 0 <= v < inflated.vertex_count:
-            return False
-    blocks = num_blocks(atom.sim)
-    if blocks == n:
-        if any(v is None for v in atom.k):
-            return False
-        image = set(atom.k)
-        return any(inflated.has_edge(u, v) for u in image for v in image if u < v)
-    if blocks == n - 1:
-        i, j = partition_pair_block(atom.sim)
-        dom = {idx for idx, v in enumerate(atom.k) if v is not None}
-        return dom == {i, j} and atom.k[i] == atom.k[j]
-    return all(v is None for v in atom.k)
-
-
 @lru_cache(maxsize=None)
 def subst_plan(sim: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[tuple, tuple]:
     """What sigma does to every atom with partition sim: the new partition,
@@ -187,6 +167,10 @@ class AtomStructure:
 
     def contains(self, atom: Atom) -> bool:
         return (atom.k, atom.sim) in self._index
+
+    def lookup(self, k: tuple, sim: tuple[int, ...]) -> int | None:
+        """The index of the atom (k, sim), or None when it is not valid."""
+        return self._index.get((k, sim))
 
     @cached_property
     def pattern_atoms(self) -> dict[tuple[int, ...], range]:

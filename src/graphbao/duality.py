@@ -14,8 +14,7 @@ import random
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .atoms import (Atom, AtomStructure, all_sigmas, atom_is_valid, enumerate_atoms,
-                    DEFAULT_ATOM_BOUND)
+from .atoms import AtomStructure, all_sigmas, enumerate_atoms, DEFAULT_ATOM_BOUND
 from .bao import FiniteBao, complex_algebra
 from .bitset import gather_lanes, lanewise, read_map
 from .graph import (Graph, VertexMap, chromatic_number, compose_maps, graph_from_json,
@@ -60,7 +59,10 @@ def extend_to_copies(f: VertexMap, n: int):
 def lift(f: VertexMap, n: int, max_atoms: int = DEFAULT_ATOM_BOUND,
          source_structure: AtomStructure | None = None,
          target_structure: AtomStructure | None = None) -> AtomPMorphism:
-    """Atom-structure map induced by a surjective graph p-morphism."""
+    """Atom-structure map induced by a surjective graph p-morphism: each
+    atom's values go through the vertex map, and the image is looked up in
+    the target, which holds exactly the valid atoms (a miss is an invalid
+    image)."""
     if not is_p_morphism(f):
         raise ValueError("map is not a graph p-morphism")
     if not is_surjective(f):
@@ -68,13 +70,14 @@ def lift(f: VertexMap, n: int, max_atoms: int = DEFAULT_ATOM_BOUND,
     source = source_structure or enumerate_atoms(f.source, n, max_atoms)
     target = target_structure or enumerate_atoms(f.target, n, max_atoms)
     mapped = extend_to_copies(f, n)
+    vertex = {v: mapped(v) for v in range(source.inflated.vertex_count)}
+    vertex[None] = None  # an undefined value stays undefined
     images = []
     for atom in source.atoms:
-        new_k = tuple(None if v is None else mapped(v) for v in atom.k)
-        image = Atom(new_k, atom.sim)
-        if not atom_is_valid(image, target.inflated):
+        image = target.lookup(tuple(map(vertex.__getitem__, atom.k)), atom.sim)
+        if image is None:
             raise RuntimeError(f"lift produced an invalid atom from {atom}")
-        images.append(target.index_of(image))
+        images.append(image)
     return AtomPMorphism(source, target, tuple(images))
 
 

@@ -130,7 +130,7 @@ def boundary(net: UfNetwork, m: AgsModel) -> PatchSystem:
         for i in range(n):
             if not is_i_distinguishing(canonical_partition(v), i):
                 continue
-            others = frozenset(v[k] for k in range(n) if k != i)
+            others = _face(v, i)
             point = m.proj_point(net.labels[v], i)
             if point is None:
                 raise RuntimeError("distinguishing tuple with improper projection")
@@ -158,60 +158,39 @@ def patch_system_coherent(p: PatchSystem, m: AgsModel) -> bool:
                for combo in itertools.combinations(p.nodes, m.n))
 
 
+def _face(v: tuple[int, ...], i: int) -> frozenset:
+    """The nodes of v off coordinate i: the face opposite i."""
+    return frozenset(v[:i] + v[i + 1:])
+
+
 def ultrafilter_for_tuple(p: PatchSystem, v: tuple[int, ...], m: AgsModel) -> int:
-    """Atom whose diagonal pattern matches v and whose projections follow p.
-
-    Three cases on the number of distinct entries: all distinct (needs the
-    relevant n-subset coherent), one repeat (the unique pair atom at the
-    assigned point), more collapsing (the empty atom of that pattern).
-    """
-    n = m.n
-    image = set(v)
+    """The atom with v's diagonal pattern whose value at each coordinate i
+    where the pattern is i-distinguishing is the patch on the face opposite
+    i, and undefined elsewhere.  Raises NoAtomError when no atom has them,
+    which only an injective v can meet (its patches are independent)."""
     sim = canonical_partition(v)
-    if len(image) == n:
-        points = tuple(p.assign[frozenset(image) - {v[i]}] for i in range(n))
-        atom = Atom(points, sim)
-        if not m.structure.contains(atom):
-            raise NoAtomError(f"patches at {sorted(image)} are independent")
-        return m.structure.index_of(atom)
-    if len(image) == n - 1:
-        point = p.assign[frozenset(image)]
-        k = tuple(point if is_i_distinguishing(sim, i) else None for i in range(n))
-        return m.structure.index_of(Atom(k, sim))
-    return m.structure.index_of(Atom((None,) * n, sim))
+    k = tuple(p.assign[_face(v, i)] if is_i_distinguishing(sim, i) else None
+              for i in range(m.n))
+    index = m.structure.lookup(k, sim)
+    if index is None:
+        raise NoAtomError(f"patches at {sorted(set(v))} are independent")
+    return index
 
 
-def network_from_patch(p: PatchSystem, m: AgsModel,
-                       preferred: list | None = None) -> UfNetwork:
-    """Label every tuple from a coherent patch system.
+def network_from_patch(p: PatchSystem, m: AgsModel) -> UfNetwork:
+    """Label every tuple by ultrafilter_for_tuple.
 
-    Non-injective tuples get their unique pattern-matching atom; injective
-    tuples are labeled on one representative per permutation orbit (the
-    least, unless `preferred` names one) and propagated through the
-    substitution action.
+    Permuting an injective tuple moves its faces as the substitution
+    tables move an atom's values: the face of v o sigma opposite i is the
+    face of v opposite sigma(i), the coordinate T_sigma reads for i
+    (atoms.subst_plan).  So label(v o sigma) = T_sigma[label(v)].
     """
     n = m.n
     if not p.is_total(n):
         raise ValueError("patch system must be total on (n-1)-subsets")
-    labels: dict[tuple[int, ...], int] = {}
-    injective: dict[frozenset, list[tuple[int, ...]]] = {}
     try:
-        for v in itertools.product(p.nodes, repeat=n):
-            if len(set(v)) == n:
-                injective.setdefault(frozenset(v), []).append(v)
-            else:
-                labels[v] = ultrafilter_for_tuple(p, v, m)
-        for orbit in injective.values():
-            orbit.sort()
-            rep = orbit[0]
-            for cand in preferred or []:
-                if cand in orbit:
-                    rep = cand
-            rep_label = ultrafilter_for_tuple(p, rep, m)
-            position = {node: idx for idx, node in enumerate(rep)}
-            for u in orbit:
-                sigma = tuple(position[u[i]] for i in range(n))
-                labels[u] = m.algebra.rel.subst_for(sigma)[rep_label]
+        labels = {v: ultrafilter_for_tuple(p, v, m)
+                  for v in itertools.product(p.nodes, repeat=n)}
     except NoAtomError as exc:
         raise IncoherentPatchError(str(exc)) from exc
     net = UfNetwork(n, tuple(sorted(p.nodes)), labels)
@@ -469,7 +448,7 @@ def paper_response(m: AgsModel, net: UfNetwork, move: GameMove,
     w0 = v[:i] + (z,) + v[i + 1:]
     assign = dict(boundary(net, m).assign)
     for j in range(n):
-        others = frozenset(w0[k] for k in range(n) if k != j)
+        others = _face(w0, j)
         if len(others) != n - 1:
             continue
         point = m.proj_point(a, j)
@@ -483,7 +462,7 @@ def paper_response(m: AgsModel, net: UfNetwork, move: GameMove,
             round_no,
             "no ultrafilter of the set sort avoids independent sets over a "
             f"finite graph; unpatched subsets: {sorted(map(sorted, remaining))}")
-    net2 = network_from_patch(PatchSystem(nodes2, assign), m, preferred=[w0])
+    net2 = network_from_patch(PatchSystem(nodes2, assign), m)
     assert net2.labels[w0] == a
     assert all(net2.labels[t] == lab for t, lab in net.labels.items()), \
         "extension must preserve old labels"

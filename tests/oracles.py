@@ -10,14 +10,16 @@ from dataclasses import replace
 from functools import partial
 from operator import itemgetter
 
-from graphbao.atoms import (Atom, all_partitions, all_sigmas, compose_sigma, is_i_distinguishing,
-                            missed_coordinate, restrict_partition, subst_partition, subst_plan)
+from graphbao.atoms import (Atom, all_partitions, all_sigmas, canonical_partition, compose_sigma,
+                            is_i_distinguishing, missed_coordinate, num_blocks,
+                            partition_pair_block, restrict_partition, subst_partition,
+                            subst_plan)
 from graphbao.bao import FiniteBao, RelStructure
 from graphbao.bitset import gather_lanes, iter_bits, lanewise
 from graphbao.equations import UnboundVariableError, Verdict
 from graphbao.errors import InfeasibleError, SizeLimitError
 from graphbao.graph import Graph, inflate
-from graphbao.networks import UfNetwork
+from graphbao.networks import UfNetwork, ultrafilter_for_tuple
 from graphbao.report import Report
 
 
@@ -216,6 +218,27 @@ def coherent_via_atom_search(p, v_set, m) -> bool:
     points = [p.assign[frozenset(nodes) - {x}] for x in nodes]
     return any(all(m.proj_point(idx, i) == points[i] for i in range(m.n))
                for idx in range(m.algebra.natoms))
+
+
+def network_from_patch_by_orbits(p, m, rep) -> dict:
+    """Labels of a total coherent patch system by orbit propagation: each
+    non-injective tuple by ultrafilter_for_tuple, and each permutation orbit
+    of injective tuples from one representative, the sorted tuple permuted
+    by `rep` (a permutation of range(n)), whose label goes through the
+    substitution tables (u = first o sigma gets T_sigma[label of first])."""
+    n = m.n
+    labels = {}
+    for v in itertools.product(p.nodes, repeat=n):
+        if len(set(v)) < n:
+            labels[v] = ultrafilter_for_tuple(p, v, m)
+        elif v == tuple(sorted(v)):
+            first = tuple(v[r] for r in rep)
+            first_label = ultrafilter_for_tuple(p, first, m)
+            position = {node: idx for idx, node in enumerate(first)}
+            for u in itertools.permutations(v):
+                sigma = tuple(position[node] for node in u)
+                labels[u] = m.algebra.rel.subst_for(sigma)[first_label]
+    return labels
 
 
 def naive_survives(m, net, depth: int) -> bool:
@@ -520,9 +543,9 @@ def corrupt_cyl_table(rel: RelStructure, i: int = 0, atom: int = 0) -> RelStruct
 
 
 def proj_per_bit(m, i: int, a: int) -> int:
-    """proj_i one i-distinguishing atom of a at a time, read off atom_value."""
+    """proj_i one i-distinguishing atom of a at a time, read off proj_points."""
     out = 0
-    values = m.atom_value[i]
+    values = m.proj_points[i]
     for atom in iter_bits(a & m.algebra.dist_element(i)):
         out |= 1 << values[atom]
     return out
@@ -684,6 +707,27 @@ def theta_literal(m, k: int, max_products: int = 2 * 10 ** 6) -> bool:
 
 
 # atoms and atom maps ---------------------------------------------------------
+
+def atom_is_valid(atom: Atom, inflated: Graph) -> bool:
+    """The three validity clauses of an atom, read off the atom itself."""
+    n = len(atom.sim)
+    if len(atom.k) != n or atom.sim != canonical_partition(atom.sim):
+        return False
+    for v in atom.k:
+        if v is not None and not 0 <= v < inflated.vertex_count:
+            return False
+    blocks = num_blocks(atom.sim)
+    if blocks == n:
+        if any(v is None for v in atom.k):
+            return False
+        image = set(atom.k)
+        return any(inflated.has_edge(u, v) for u in image for v in image if u < v)
+    if blocks == n - 1:
+        i, j = partition_pair_block(atom.sim)
+        dom = {idx for idx, v in enumerate(atom.k) if v is not None}
+        return dom == {i, j} and atom.k[i] == atom.k[j]
+    return all(v is None for v in atom.k)
+
 
 def diag_member(atom: Atom, i: int, j: int) -> bool:
     return atom.sim[i] == atom.sim[j]

@@ -88,7 +88,7 @@ class TestProjLift:
         report = ags.check_rs_properties(m, seed=1, samples=50)
         failing = {item.name for item in report.items if item.status != "pass"}
         assert "projection undoes lift" in failing or "lift of projection covers" in failing
-        # proj reads the same lift table; the exhaustive item ties it to atom_value
+        # proj reads the same lift table; the exhaustive item ties it to proj_points
         assert "projection of a principal ultrafilter" in failing_items(m)
 
     @pytest.mark.parametrize("name", ["k1_model", "k2_model", "p3_model"])

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from graphbao.atoms import (Atom, all_partitions, all_sigmas, atom_is_valid,
-                            canonical_partition, compose_sigma, enumerate_atoms,
-                            is_i_distinguishing, restrict_partition)
+from graphbao.atoms import (Atom, all_partitions, all_sigmas, canonical_partition,
+                            compose_sigma, enumerate_atoms, is_i_distinguishing,
+                            restrict_partition)
 from graphbao.bao import subst_generators
 from graphbao.errors import SizeLimitError
 from graphbao.graph import Graph, complete_graph, cycle_graph, path_graph
-from oracles import cyl_equiv, diag_member, naive_atom_set, subst_atom, subst_atom_per_atom
+from oracles import (atom_is_valid, cyl_equiv, diag_member, naive_atom_set, subst_atom,
+                     subst_atom_per_atom)
 
 K1_HASH = "0bd8160f29277b4718062d2ac08adab8259cfd2946cbbe9dc02da239e0c16f2a"
 

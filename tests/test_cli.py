@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from graphbao import cli
+from graphbao import cli, duality
 from graphbao.graph import graph_from_json, mycielskian, cycle_graph
 
 
@@ -331,6 +331,22 @@ class TestDualVerbs:
         code, _, _ = run_cli(capsys, "dual", "check-chain", str(chain_file),
                              "--atom-bound", "6000", "--samples", "100")
         assert code == 0
+
+    def test_check_chain_passes_samples(self, capsys, tmp_path, monkeypatch):
+        chain = {"stages": [{"vertices": 1, "edges": []}] * 2, "steps": [[0]]}
+        chain_file = tmp_path / "chain.json"
+        chain_file.write_text(json.dumps(chain))
+        seen = []
+        real = duality.validate_embedding
+
+        def recording(emb, seed=1, samples=1000):
+            seen.append(samples)
+            return real(emb, seed, samples)
+
+        monkeypatch.setattr(duality, "validate_embedding", recording)
+        code, _, _ = run_cli(capsys, "dual", "check-chain", str(chain_file),
+                             "--samples", "7")
+        assert code == 0 and seen == [7]
 
     @pytest.mark.parametrize("target, step", [
         ({"vertices": 2, "edges": [[0, 1]]}, [0, 0]),

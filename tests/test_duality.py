@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import dataclass
 
@@ -12,7 +13,7 @@ from graphbao.duality import (AlgebraEmbedding, AtomPMorphism, GraphChain,
                               identity_pmorphism, lift, validate_atom_pmorphism,
                               validate_embedding)
 from graphbao.graph import (VertexMap, complete_graph, cycle_graph, graph_to_json,
-                            is_p_morphism)
+                            is_p_morphism, path_graph)
 from oracles import atom_pmorphism_per_atom, embed_per_bit, read_map_by_singletons
 
 
@@ -39,6 +40,19 @@ class TestLift:
     def test_wrap_is_total_and_surjective(self, wrap63):
         assert len(wrap63.mapping) == len(wrap63.source) == 5671
         assert len(set(wrap63.mapping)) == len(wrap63.target) == 748
+
+    def test_wrap_mapping_pinned(self, wrap63):
+        digest = hashlib.sha256(repr(wrap63.mapping).encode()).hexdigest()[:16]
+        assert digest == "39a6591e7c43e035"
+
+    def test_image_outside_the_target_raises(self, c6_structure):
+        # the C6 atom valued (0, 0, 5) goes to values (0, 0, 2): vertices 0
+        # and 2 of copy 0, which P3 leaves unjoined, so P3 has no such atom
+        f = VertexMap(cycle_graph(6), cycle_graph(3), tuple(i % 3 for i in range(6)))
+        with pytest.raises(RuntimeError, match=r"invalid atom from "
+                           r"Atom\(k=\(0, 0, 5\), sim=\(0, 1, 2\)\)"):
+            lift(f, 3, source_structure=c6_structure,
+                 target_structure=enumerate_atoms(path_graph(3), 3))
 
     def test_wrap_passes_all_checks(self, wrap63):
         report = validate_atom_pmorphism(wrap63)

@@ -14,8 +14,8 @@ from graphbao.networks import (GameMove, PatchSystem, UfNetwork, boundary,
                                patch_system_coherent, sample_play,
                                ultrafilter_for_tuple, validate_network)
 from oracles import (coherent_via_atom_search, naive_game_moves,
-                     naive_game_responses, naive_survives, pruned_game_responses,
-                     validate_network_per_tuple)
+                     naive_game_responses, naive_survives, network_from_patch_by_orbits,
+                     pruned_game_responses, validate_network_per_tuple)
 
 
 class TestValidate:
@@ -214,12 +214,32 @@ class TestNetworkFromPatch:
         assert validate_network(net, k1_model, "polyadic") == []
 
     def test_rep_choice_does_not_change_validity(self, k1_model):
+        # labelling each tuple from its own faces gives what propagating one
+        # orbit representative's label through the tables gives, whichever
+        # representative, on every coherent patch system over three nodes
         nodes = (0, 1, 2)
         subsets = list(itertools.combinations(nodes, 2))
-        p = PatchSystem(nodes, {frozenset(s): i for i, s in enumerate(subsets)})
-        for rep in itertools.permutations(nodes):
-            net = network_from_patch(p, k1_model, preferred=[rep])
-            assert validate_network(net, k1_model, "polyadic") == []
+        checked = 0
+        for points in itertools.product(range(3), repeat=3):
+            p = PatchSystem(nodes, dict(zip(map(frozenset, subsets), points)))
+            if not patch_system_coherent(p, k1_model):
+                continue
+            net = network_from_patch(p, k1_model)
+            for rep in itertools.permutations(range(3)):
+                labels = network_from_patch_by_orbits(p, k1_model, rep)
+                assert labels == net.labels
+                assert validate_network(UfNetwork(3, nodes, labels), k1_model) == []
+            checked += 1
+        assert checked == 24
+
+    @pytest.mark.parametrize("name, count", [("k1_model", 379), ("k2_model", 2917)])
+    def test_boundary_determines_network(self, name, count, request):
+        m = request.getfixturevalue(name)
+        collected = []
+        exists_survives(m, 2, collect=collected)
+        assert len(collected) == count
+        for net in collected:
+            assert network_from_patch(boundary(net, m), m) == net
 
     def test_incoherent_patch_rejected(self, k1_model):
         nodes = (0, 1, 2)
