@@ -165,9 +165,6 @@ class AtomStructure:
     def index_of(self, atom: Atom) -> int:
         return self._index[atom.k, atom.sim]
 
-    def contains(self, atom: Atom) -> bool:
-        return (atom.k, atom.sim) in self._index
-
     def lookup(self, k: tuple, sim: tuple[int, ...]) -> int | None:
         """The index of the atom (k, sim), or None when it is not valid."""
         return self._index.get((k, sim))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .ags import AgsModel
 from .atoms import Atom, all_sigmas, canonical_partition, is_i_distinguishing
@@ -215,6 +215,38 @@ def forall_moves(m: AgsModel, net: UfNetwork) -> list[GameMove]:
             for a in iter_bits(rel.cyl_class_masks[i][rel.cyl_class_of[i][lab]])]
 
 
+def _moves_up_to_permutation(m: AgsModel, net: UfNetwork) -> list[GameMove]:
+    """forall_moves, in its order, keeping the first move of each class up
+    to coordinate permutation.
+
+    Take the fresh node z, w0 = v[i -> z], the stable permutation pi that
+    sorts w0 and its substitution table T_pi; (v, i, a) has the key
+    (w0 o pi, T_pi[a]).  Two moves with one key have one response set:
+
+    * in every valid network, label(w0 o pi) = T_pi[label(w0)] (the
+      polyadic condition), and T_pi is a bijection for a permutation pi;
+    * so label(w0) = a exactly when label(w0 o pi) = T_pi[a], the same
+      condition for both moves; and _witnessed agrees on them, since
+      (v[i -> w]) o pi is the other move's witness tuple for w.
+
+    So moves with one key win or lose together: the first losing move is
+    the first of its class, so the verdict and trace do not change, and the
+    search visits a subset of the positions it visits with every move.  Any
+    other pi sorting w0 moves only coordinates off i where v repeats, which
+    a's pattern joins too (a is R_i-related to v's label), so by L3 it gives
+    the same T_pi[a]: the classes are the orbits under all n! permutations.
+    """
+    n, z, rel = m.n, max(net.nodes) + 1, m.algebra.rel
+    kept: dict[tuple, GameMove] = {}
+    for (v, i), moves in itertools.groupby(forall_moves(m, net), key=attrgetter("v", "i")):
+        w0 = v[:i] + (z,) + v[i + 1:]
+        row = rel.subst_for(tuple(sorted(range(n), key=w0.__getitem__)))
+        w0_sorted = tuple(sorted(w0))
+        for move in moves:
+            kept.setdefault((w0_sorted, row[move.atom]), move)
+    return list(kept.values())
+
+
 def _witnessed(net: UfNetwork, move: GameMove) -> bool:
     """Some old tuple, v with entry i replaced, already carries the demanded atom."""
     v, i = move.v, move.i
@@ -372,15 +404,17 @@ def exists_survives(m: AgsModel, depth: int, strategy: str = "exhaustive",
 
     exhaustive: ground truth at the given depth by backtracking over all
     challenger moves and all single-node responses, in a fixed order, so the
-    verdict, trace and visit count are deterministic.  Responses come from
-    _extension_networks, which labels one tuple per new maximal node subset
-    and derives the rest through the substitution tables.  At the last round
-    any response wins, so the first labelling the search finds answers the
-    move; only `collect` still gets them all, sorted.  paper: follow
-    the two-step ultrafilter/patch construction; on finite models its second
-    step eventually demands an ultrafilter of the set sort free of
-    independent sets, which no principal ultrafilter is, and that failure
-    is reported rather than masked.
+    verdict, trace and visit count are deterministic.  The challenger plays
+    one move per class up to coordinate permutation (see
+    _moves_up_to_permutation); `collect` still walks every move.  Responses
+    come from _extension_networks, which labels one tuple per new maximal
+    node subset and derives the rest through the substitution tables.  At
+    the last round any response wins, so the first labelling the search
+    finds answers the move; only `collect` still gets them all, sorted.
+    paper: follow the two-step ultrafilter/patch construction; on finite
+    models its second step eventually demands an ultrafilter of the set sort
+    free of independent sets, which no principal ultrafilter is, and that
+    failure is reported rather than masked.
     """
     net0 = initial_network(m)
     if collect is not None:
@@ -392,6 +426,7 @@ def exists_survives(m: AgsModel, depth: int, strategy: str = "exhaustive",
 
     memo: dict = {}
     visited = 0
+    moves = forall_moves if collect is not None else _moves_up_to_permutation
 
     def survives(net, d):
         nonlocal visited
@@ -405,7 +440,7 @@ def exists_survives(m: AgsModel, depth: int, strategy: str = "exhaustive",
             raise _BudgetExceeded()
         result = (True, None)
         ordered = d > 1 or collect is not None  # at d == 1 any response wins
-        for move in forall_moves(m, net):
+        for move in moves(m, net):
             found = False
             for resp in exists_responses(m, net, move, ordered=ordered):
                 if collect is not None and resp is not net:

@@ -22,6 +22,16 @@ def k2_model():
 
 
 @pytest.fixture(scope="session")
+def k3_model():
+    return ags.build_model(complete_graph(3), 3)
+
+
+@pytest.fixture(scope="session")
+def k1_n4():
+    return ags.build_model(complete_graph(1), 4)
+
+
+@pytest.fixture(scope="session")
 def p3_model():
     return ags.build_model(path_graph(3), 3)
 

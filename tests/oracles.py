@@ -10,6 +10,7 @@ from dataclasses import replace
 from functools import partial
 from operator import itemgetter
 
+from graphbao.ags import build_model
 from graphbao.atoms import (Atom, all_partitions, all_sigmas, canonical_partition, compose_sigma,
                             is_i_distinguishing, missed_coordinate, num_blocks,
                             partition_pair_block, restrict_partition, subst_partition,
@@ -249,6 +250,36 @@ def naive_survives(m, net, depth: int) -> bool:
                    for resp in naive_game_responses(m, net, move)):
             return False
     return True
+
+
+def moves_up_to_orbit(m, net, moves) -> list:
+    """The first of `moves` per class, keyed by the least (w0 o pi, T_pi[a])
+    over all n! coordinate permutations pi, where w0 = v[i -> z] and z is
+    the fresh node: the reference for networks._moves_up_to_permutation."""
+    n, z, tables = m.n, max(net.nodes) + 1, m.algebra.rel.subst_tables
+    perms = [(pi, tables[all_sigmas(n).index(pi)]) for pi in itertools.permutations(range(n))]
+    kept, seen, images = [], set(), {}
+    for move in moves:
+        if (move.v, move.i) not in images:
+            w0 = move.v[:move.i] + (z,) + move.v[move.i + 1:]
+            images[move.v, move.i] = [(tuple(w0[p] for p in pi), table) for pi, table in perms]
+        key = min((w, table[move.atom]) for w, table in images[move.v, move.i])
+        if key not in seen:
+            seen.add(key)
+            kept.append(move)
+    return kept
+
+
+def thinned_injective_model(g: Graph, step: int):
+    """A model over g at n = 3 whose extension search picks only every
+    step-th atom of the injective pattern: a mutant that loses the game at
+    depth 2 or 3, for tests of `loses` verdicts and traces."""
+    m = build_model(g, 3)
+    masks = dict(m.structure.pattern_masks)
+    injective = tuple(range(m.n))
+    masks[injective] = sum(1 << a for a in list(iter_bits(masks[injective]))[::step])
+    m.structure.__dict__["pattern_masks"] = masks  # shadows the cached property
+    return m
 
 
 def cyl_per_bit(algebra, i: int, x: int) -> int:

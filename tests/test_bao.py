@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from functools import partial
 from operator import itemgetter
@@ -171,8 +172,19 @@ class TestKernelsAgainstOracles:
 class TestSearchLemmas:
     """Facts about the stored tables T_sigma and R_i classes, on every atom,
     map and coordinate.  L1 and L3 let the extension search keep every leaf
-    without a check (see networks._extension_networks); L2 is not used
+    without a check (see networks._extension_networks); that T_pi is a
+    bijection of the atoms for each permutation pi lets the challenger play
+    one move per class (networks._moves_up_to_permutation); L2 is not used
     there and stays pinned as a fact of the tables."""
+
+    def test_permutation_tables_are_bijections(self, probed_algebra):
+        algebra, _, _ = probed_algebra
+        rel, n = algebra.rel, algebra.n
+        permutations = [table for sigma, table in zip(all_sigmas(n), rel.subst_tables)
+                        if len(set(sigma)) == n]
+        assert len(permutations) == math.factorial(n)
+        for table in permutations:
+            assert sorted(table) == list(range(rel.natoms))
 
     def test_l1_maps_agreeing_off_i_keep_the_r_i_class(self, probed_algebra):
         algebra, _, _ = probed_algebra

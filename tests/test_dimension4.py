@@ -4,17 +4,9 @@ Golden numbers stay pinned at n = 3; these only assert structural facts that
 hold at any supported dimension.
 """
 
-import pytest
-
 from graphbao import ags, networks
 from graphbao.atoms import enumerate_atoms, is_i_distinguishing
 from graphbao.equations import check_ca_axioms, check_discriminator
-from graphbao.graph import complete_graph
-
-
-@pytest.fixture(scope="module")
-def k1_n4():
-    return ags.build_model(complete_graph(1), 4)
 
 
 class TestAtomsN4:

@@ -13,9 +13,10 @@ from graphbao.networks import (GameMove, PatchSystem, UfNetwork, boundary,
                                network_from_patch, network_to_json, paper_response,
                                patch_system_coherent, sample_play,
                                ultrafilter_for_tuple, validate_network)
-from oracles import (coherent_via_atom_search, naive_game_moves,
+from oracles import (coherent_via_atom_search, moves_up_to_orbit, naive_game_moves,
                      naive_game_responses, naive_survives, network_from_patch_by_orbits,
-                     pruned_game_responses, validate_network_per_tuple)
+                     pruned_game_responses, thinned_injective_model,
+                     validate_network_per_tuple)
 
 
 class TestValidate:
@@ -268,6 +269,23 @@ class TestForallMoves:
         engine = {(mv.v, mv.i, mv.atom) for mv in forall_moves(k1_model, net)}
         assert engine == set(naive_game_moves(k1_model, net))
 
+    @pytest.mark.parametrize("name, depth, pinned", [
+        ("k1_model", 2, (1066, 16068)), ("k2_model", 2, (28033, 462459)),
+        ("k1_n4", 1, (18, 328))])
+    def test_moves_up_to_permutation_match_orbit_oracle(self, name, depth, pinned, request):
+        # one move per class, the first in forall_moves' order, on every
+        # distinct network the game reaches; pinned: (kept, generated)
+        m = request.getfixturevalue(name)
+        collected = []
+        exists_survives(m, depth, collect=collected)
+        kept = generated = 0
+        for net in {net.key(): net for net in collected}.values():
+            moves = forall_moves(m, net)
+            reduced = networks._moves_up_to_permutation(m, net)
+            assert reduced == moves_up_to_orbit(m, net, moves)
+            kept, generated = kept + len(reduced), generated + len(moves)
+        assert (kept, generated) == pinned
+
 
 class TestExtensionPlan:
     @pytest.mark.parametrize("n, nodes, stride", [
@@ -337,11 +355,16 @@ class TestExistsSurvives:
             assert len(engine) == len(set(engine))
             assert set(engine) == oracle
 
-    @pytest.mark.parametrize("name, depth", [("k1_model", 1), ("k1_model", 2),
-                                             ("k2_model", 2)])
+    @pytest.mark.parametrize("name, depth", [
+        ("k1_model", 1), ("k1_model", 2), ("k2_model", 2), ("k1_model", 3), ("k3_model", 2),
+        ("p3_model", 2),
+        *[pytest.param((g, step), depth, id=f"K{g}-thinned-{step}-{depth}")
+          for g in (1, 2) for depth in (2, 3) for step in (2, 3, 5)]])
     def test_last_round_answer_matches_full_enumeration(self, name, depth, request):
-        # collect forces the sorted enumeration at every round
-        m = request.getfixturevalue(name)
+        # collect forces the sorted enumeration, and every move, at every round;
+        # a (g, step) name is the K_g mutant of thinned_injective_model, which loses
+        m = (request.getfixturevalue(name) if isinstance(name, str)
+             else thinned_injective_model(complete_graph(name[0]), name[1]))
         fast, full = exists_survives(m, depth), exists_survives(m, depth, collect=[])
         assert (fast.status, fast.visited, fast.trace) == (full.status, full.visited, full.trace)
 
@@ -411,6 +434,14 @@ class TestExistsSurvives:
         verdict = exists_survives(m, depth, collect=collected)
         assert verdict.status == "survives" and verdict.trace is None
         assert (verdict.visited, len(collected), self.digest(collected)) == pinned
+
+    @pytest.mark.parametrize("g, step, visited", [(1, 2, 21), (2, 5, 57)])
+    def test_pinned_thinned_mutant_loses(self, g, step, visited):
+        # with only every step-th injective atom to pick from, no answer to the
+        # first move (the constant tuple demands its own label) survives two rounds
+        verdict = exists_survives(thinned_injective_model(complete_graph(g), step), 3)
+        assert (verdict.status, verdict.visited, verdict.trace) == (
+            "loses", visited, [{"v": [0, 0, 0], "i": 0, "atom": 0}])
 
     def test_depth_two_survives_and_monotone(self, k1_model):
         v2 = exists_survives(k1_model, 2)
