@@ -21,10 +21,11 @@ Henkin-Monk-Tarski, Cylindric Algebras I.  The diagonal masks are unions
 of the atoms' pattern masks.
 
 The ultrafilter structure reads the operators back through the public
-kernels: c_i on every singleton, and each substitution table through
-s_lanes on the lane strings of the ceil(log2 natoms) bit-slice elements,
-whose answers bitset.read_map decodes, so the canonical-extension check
-tests the kernels against the stored relations.
+kernels: each R_i through 2k + m calls of c_i, for k classes of at most m
+atoms, and each substitution table through s_lanes on the lane strings of
+the ceil(log2 natoms) bit-slice elements, whose answers bitset.read_map
+decodes, so the canonical-extension check tests the kernels against the
+stored relations.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import partial
 from operator import itemgetter
 
 from .atoms import AtomStructure, all_sigmas, compose_sigma, restrict_partition, sigma_rank
-from .bitset import gather_lanes, lanewise, read_map
+from .bitset import bit_list, gather_lanes, lanewise, mask_of, read_map
 from .errors import SizeLimitError
 
 SIGNATURES = {
@@ -102,18 +103,14 @@ class RelStructure:
 
     def same_structure(self, other: "RelStructure") -> bool:
         """Equality of relations under the identity map on atom indices."""
-        if (self.n, self.natoms) != (other.n, other.natoms):
-            return False
-        if self.diag_masks != other.diag_masks:
-            return False
-        if self.subst_tables != other.subst_tables:
+        if (self.n, self.natoms, self.diag_masks, self.subst_tables) != (
+                other.n, other.natoms, other.diag_masks, other.subst_tables):
             return False
         for i in range(self.n):
-            mine, theirs = self.cyl_class_of[i], other.cyl_class_of[i]
             mmasks, tmasks = self.cyl_class_masks[i], other.cyl_class_masks[i]
-            for a in range(self.natoms):
-                if mmasks[mine[a]] != tmasks[theirs[a]]:
-                    return False
+            pairs = set(zip(self.cyl_class_of[i], other.cyl_class_of[i]))  # an atom's two ids
+            if any(mmasks[p] != tmasks[q] for p, q in pairs):
+                return False
         return True
 
 
@@ -223,41 +220,66 @@ class FiniteBao:
         One ultrafilter per atom; a relation holds of a tuple of
         ultrafilters when the operator image of the generators lands inside
         the result ultrafilter.  For unary operators that reduces to reading
-        the operator off singleton elements: R_i is read from c_i on every
-        singleton, and each substitution table from the public s_lanes on
-        the bit-slice elements (bitset.read_map), never from the stored
-        tables.  A principal ultrafilter contains d_ij iff its atom lies in
-        d_ij, so the diagonal masks carry over as they are; so do the
-        tables of a signature without substitutions.
+        the operator off singleton elements: R_i is read from c_i
+        (_read_classes), and each substitution table from the public
+        s_lanes on the bit-slice elements (bitset.read_map), never from the
+        stored tables.  A principal ultrafilter contains d_ij iff its atom
+        lies in d_ij, so the diagonal masks carry over as they are; so do
+        the tables of a signature without substitutions.
 
         Raises RuntimeError when c_i does not induce a reflexive partition,
         or s_sigma is not the preimage operator of a map on atoms.
         """
         nat = self.natoms
-        class_of, class_masks = [], []
-        for i in range(self.n):
-            ids: dict[int, int] = {}
-            per_atom, masks = [], []
-            for a in range(nat):
-                mask = self.c(i, 1 << a)
-                cid = ids.setdefault(mask, len(ids))
-                if cid == len(masks):
-                    masks.append(mask)
-                per_atom.append(cid)
-            if sum(m.bit_count() for m in masks) != nat:
-                raise RuntimeError("cylindrification does not induce a partition")
-            for a in range(nat):
-                if not masks[per_atom[a]] >> a & 1:
-                    raise RuntimeError("cylindrification is not reflexive")
-            class_of.append(tuple(per_atom))
-            class_masks.append(tuple(masks))
+        class_of, class_masks = zip(*map(self._read_classes, range(self.n)))
         if "s" in self.ops:
             subst = tuple(read_map(partial(self.s_lanes, sigma), nat, nat)
                           for sigma in all_sigmas(self.n))
         else:
             subst = self.rel.subst_tables
-        return RelStructure(self.n, nat, self.rel.diag_masks, tuple(class_of),
-                            tuple(class_masks), subst)
+        return RelStructure(self.n, nat, self.rel.diag_masks, class_of, class_masks, subst)
+
+    def _read_classes(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """R_i read off c_i in 2k + m calls, for k classes of at most m atoms:
+        each atom's class id (classes numbered by lowest atom) and the masks.
+
+        c_i is assumed completely additive (Jonsson-Tarski), as FiniteBao.c
+        is by its code: c_i(x) is the union of R(a) = c_i({a}) over a in x.
+        1. Discovery: R(a) for the lowest atom a not yet covered is nonzero,
+           inside top, disjoint from the classes so far, and holds a.
+        2. Closure: c_i(M) = M for each class M, so R(b) lies in b's class.
+        3. Transversals: c_i of the t-th atoms of the classes with more than
+           t atoms is the union of those disjoint classes, so R(b) is all of
+           b's class for each such b; each atom is one such b.
+        So the calls pass exactly when each R(a) is a's class in a partition,
+        with the ids that reading each singleton in turn gives.  RuntimeError
+        says "not reflexive" when a discovered class misses its lowest atom,
+        and "partition" on any other failure.
+        """
+        nat, masks, covered = self.natoms, [], 0
+        no_partition = RuntimeError("cylindrification does not induce a partition")
+        while covered != self.top:
+            low = ~covered & covered + 1
+            mask = self.c(i, low)
+            if not mask or mask & covered or mask >> nat:
+                raise no_partition
+            if not mask & low:
+                raise RuntimeError("cylindrification is not reflexive")
+            masks.append(mask)
+            covered |= mask
+        if any(self.c(i, m) != m for m in masks):
+            raise no_partition
+        members = [bit_list(m) for m in masks]
+        # by size, so the classes with a t-th atom are a shrinking prefix
+        live = sorted(range(len(masks)), key=lambda j: -len(members[j]))
+        union = self.top
+        for t in range(len(members[live[0]]) if live else 0):
+            while len(members[live[-1]]) <= t:
+                union ^= masks[live.pop()]
+            if self.c(i, mask_of(members[j][t] for j in live)) != union:
+                raise no_partition
+        owner = {a: cid for cid, atoms in enumerate(members) for a in atoms}
+        return tuple(owner[a] for a in range(nat)), tuple(masks)
 
     def canonical_extension(self) -> tuple["FiniteBao", list[int]]:
         """Complex algebra of the ultrafilter structure, plus the witness map.

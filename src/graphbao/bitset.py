@@ -22,6 +22,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
+from itertools import compress, count
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -31,6 +32,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 # integer at once, given the masks repeated word by word.
 _TRANSPOSE_ROUNDS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
                      (28, 0x00000000F0F0F0F0))
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -39,6 +41,11 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bit_list(mask: int) -> list[int]:
+    """iter_bits' indices as a list, from one linear pass over the binary digits."""
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)))
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -137,6 +144,7 @@ def read_map(preimages: Callable[[bytes], bytes], nsrc: int, ntgt: int) -> tuple
     if sys.byteorder == "big":
         decoded.byteswap()
     values = tuple(decoded)  # max runs faster over a tuple's ints than over an array
-    if values and max(values) >= ntgt:
+    # the last answer holds each f(a)'s top byte: only a tie with ntgt - 1's needs the max
+    if values and (not nbits or max(answer) >= (ntgt - 1) >> 8 * byte) and max(values) >= ntgt:
         raise RuntimeError(f"decoded an atom index outside range({ntgt})")
     return values

@@ -635,6 +635,28 @@ def read_map_by_singletons(preimage, nsrc: int, ntgt: int) -> tuple[int, ...]:
     return tuple(images)
 
 
+def classes_by_singletons(algebra, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """R_i read off c_i on every singleton: each atom's class id, in order of
+    first appearance, and the class masks.  Raises RuntimeError as
+    FiniteBao.ultrafilter_structure does when c_i induces no reflexive
+    partition."""
+    nat = algebra.natoms
+    ids: dict[int, int] = {}
+    per_atom, masks = [], []
+    for a in range(nat):
+        mask = algebra.c(i, 1 << a)
+        cid = ids.setdefault(mask, len(ids))
+        if cid == len(masks):
+            masks.append(mask)
+        per_atom.append(cid)
+    if sum(m.bit_count() for m in masks) != nat:
+        raise RuntimeError("cylindrification does not induce a partition")
+    for a in range(nat):
+        if not masks[per_atom[a]] >> a & 1:
+            raise RuntimeError("cylindrification is not reflexive")
+    return tuple(per_atom), tuple(masks)
+
+
 # graphs ----------------------------------------------------------------------
 
 def canonical_form(g: Graph, limit: int = 8) -> tuple:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 from functools import partial
 from operator import itemgetter
 
@@ -16,7 +17,7 @@ from graphbao.equations import (Equation, ca_axioms, check_ca_axioms, check_disc
                                 pick_subalgebra, UnboundVariableError)
 from graphbao.errors import SizeLimitError
 from graphbao.graph import complete_graph, cycle_graph, path_graph
-from oracles import (atom_columns, check_equation_per_assignment,
+from oracles import (atom_columns, check_equation_per_assignment, classes_by_singletons,
                      check_equation_sampled_per_trial, corrupt_cyl_table, cyl_equiv, cyl_per_bit,
                      diag_member, direct_subst_tables, generated_subalgebra_closure,
                      read_map_by_singletons, subst_atom_per_atom, subst_columns)
@@ -160,6 +161,24 @@ class TestKernelsAgainstOracles:
         for i in range(algebra.n):
             for x in probes:
                 assert algebra.c(i, x) == cyl_per_bit(algebra, i, x)
+
+    def test_read_classes_match_singleton_oracle(self, probed_algebra):
+        algebra, _, _ = probed_algebra
+        recovered = algebra.ultrafilter_structure()
+        assert recovered == algebra.rel
+        for i in range(algebra.n):
+            assert ((recovered.cyl_class_of[i], recovered.cyl_class_masks[i])
+                    == classes_by_singletons(algebra, i))
+
+    def test_read_classes_call_c_twice_per_class_and_once_per_transversal(self, probed_algebra):
+        algebra, _, _ = probed_algebra
+        counting = CountingC(algebra.rel, "CA")
+        counting.ultrafilter_structure()
+        assert counting.calls == {i: 2 * len(masks) + max(m.bit_count() for m in masks)
+                                  for i, masks in enumerate(algebra.rel.cyl_class_masks)}
+        # per coordinate, K2 n = 4: 12 + 12 + 514, not 4,144; C6: 19 + 19 + 314, not 5,671
+        pinned = {4144: 538, 5671: 352}.get(algebra.natoms)
+        assert pinned is None or set(counting.calls.values()) == {pinned}
 
     def test_s_matches_atom_columns(self, probed_algebra):
         algebra, direct, probes = probed_algebra
@@ -434,6 +453,23 @@ class TestUltrafilterStructure:
         for algebra in (a_k1, a_k2):
             assert algebra.ultrafilter_structure().same_structure(algebra.rel)
 
+    def test_same_structure_reads_relations_not_ids(self, a_k2):
+        rel = a_k2.rel
+        # the same partition under other class ids is the same relation
+        flipped = tuple(tuple(len(m) - 1 - c for c in ids)
+                        for ids, m in zip(rel.cyl_class_of, rel.cyl_class_masks))
+        renamed = replace(rel, cyl_class_of=flipped,
+                          cyl_class_masks=tuple(m[::-1] for m in rel.cyl_class_masks))
+        assert renamed != rel and renamed.same_structure(rel) and rel.same_structure(renamed)
+        # one atom given another class's id, at each coordinate in turn
+        for i in range(rel.n):
+            ids = list(rel.cyl_class_of[i])
+            ids[100] = (ids[100] + 1) % len(rel.cyl_class_masks[i])
+            moved = replace(rel, cyl_class_of=rel.cyl_class_of[:i] + (tuple(ids),)
+                            + rel.cyl_class_of[i + 1:])
+            assert not moved.same_structure(rel) and not rel.same_structure(moved)
+        assert not replace(rel, diag_masks=rel.diag_masks[::-1]).same_structure(rel)
+
     def test_subst_relation_via_generators(self, a_k1):
         # the substituted ultrafilter is principal at the table image, and
         # relating holds exactly when the substituted filter equals the input
@@ -481,6 +517,46 @@ class ShiftedC0(FiniteBao):
         return sum(masks[(k + 1) % len(masks)] for k, m in enumerate(masks) if m & out)
 
 
+class CountingC(FiniteBao):
+    """Counts the calls of c per coordinate."""
+
+    def __init__(self, rel, signature="PEA"):
+        super().__init__(rel, signature)
+        self.calls = {}
+
+    def c(self, i, x):
+        self.calls[i] = self.calls.get(i, 0) + 1
+        return super().c(i, x)
+
+
+class MisreadC(FiniteBao):
+    """c_i stays additive but answers `wrong` for the singleton of atom b:
+    c_i(x) is c_i(x without b), joined with `wrong` when b is in x."""
+
+    def __init__(self, rel, i, b, wrong):
+        super().__init__(rel)
+        self.misread = i, b, wrong
+
+    def c(self, i, x):
+        mi, b, wrong = self.misread
+        if i != mi or not x >> b & 1:
+            return super().c(i, x)
+        return super().c(i, x & ~(1 << b)) | wrong
+
+
+def misread_c(algebra, i, how):
+    """A MisreadC at the second atom b of one of the two largest R_i classes,
+    with the wrong answer of kind `how`.  The other class has a second atom
+    too, so b and it share a transversal, and only the closure step sees the
+    foreign atom."""
+    own, other = sorted(algebra.rel.cyl_class_masks[i], key=int.bit_count)[-2:]
+    b = list(iter_bits(own))[1]
+    wrong = {"own class without b": own & ~(1 << b),
+             "own class and a foreign atom": own | other & -other,
+             "another class": other}[how]
+    return MisreadC(algebra.rel, i, b, wrong)
+
+
 class TestUltrafilterChecks:
     def test_read_map_matches_singletons_on_every_s_map(self, a_k1, a_k2):
         for algebra in (a_k1, a_k2):
@@ -512,6 +588,17 @@ class TestUltrafilterChecks:
         broken = FiniteBao(corrupt_cyl_table(a_k1.rel, 0, 5))
         with pytest.raises(RuntimeError, match="partition"):
             broken.ultrafilter_structure()
+
+    @pytest.mark.parametrize("how", ["own class without b", "own class and a foreign atom",
+                                     "another class"])
+    @pytest.mark.parametrize("i", [0, 2])
+    def test_additive_misread_off_the_lowest_atom_is_an_internal_error(self, a_k1, a_k2, i, how):
+        for algebra in (a_k1, a_k2):
+            broken = misread_c(algebra, i, how)
+            with pytest.raises(RuntimeError):
+                broken.ultrafilter_structure()
+            with pytest.raises(RuntimeError):
+                classes_by_singletons(broken, i)
 
     def test_signature_without_s_keeps_its_tables(self, a_k1):
         ca = FiniteBao(a_k1.rel, "CA")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from graphbao.bitset import gather_lanes, read_map
+from graphbao.bitset import bit_list, gather_lanes, iter_bits, read_map
 from oracles import bit_slice, gather, gather_many, lane_preimages
 
 
@@ -11,6 +11,13 @@ def test_bit_slices():
     for n in range(40):
         for k in range(7):
             assert bit_slice(k, n) == sum(1 << b for b in range(n) if b >> k & 1)
+
+
+def test_bit_list_matches_iter_bits():
+    rng = random.Random(24)
+    masks = [0, 1, 2, 1 << 200] + [rng.getrandbits(rng.randrange(1, 3000)) for _ in range(50)]
+    for mask in masks:
+        assert bit_list(mask) == list(iter_bits(mask))
 
 
 def test_gather_short_tables():

@@ -6,7 +6,9 @@ hold at any supported dimension.
 
 from graphbao import ags, networks
 from graphbao.atoms import enumerate_atoms, is_i_distinguishing
+from graphbao.bao import complex_algebra
 from graphbao.equations import check_ca_axioms, check_discriminator
+from graphbao.graph import complete_graph
 
 
 class TestAtomsN4:
@@ -38,6 +40,13 @@ class TestAlgebraN4:
 
     def test_ultrafilter_round_trip(self, k1_n4):
         algebra = k1_n4.algebra
+        assert algebra.ultrafilter_structure().same_structure(algebra.rel)
+
+    def test_ultrafilter_round_trip_at_twenty_thousand_atoms(self):
+        # K3: 20,804 atoms; the read-back makes 1,762 c calls per
+        # coordinate, not 20,804, and the check takes about half a second
+        algebra = complex_algebra(enumerate_atoms(complete_graph(3), 4, max_atoms=21000))
+        assert algebra.natoms == 20804
         assert algebra.ultrafilter_structure().same_structure(algebra.rel)
 
 
