@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .atoms import (AtomStructure, all_partitions, all_sigmas, compose_sigma, enumerate_atoms,
-                    missed_coordinate, subst_partition, DEFAULT_ATOM_BOUND)
+                    is_i_distinguishing, missed_coordinate, subst_partition, DEFAULT_ATOM_BOUND)
 from .bao import FiniteBao, complex_algebra
 from .bitset import iter_bits
 from .graph import Graph, chromatic_number
@@ -226,16 +226,16 @@ def check_projection_properties(m: AgsModel) -> Report:
     samples = _vertex_set_samples(m)
     lifts = [[m.lift(i, B) for B in samples] for i in range(n)]
     ok = True
-    for a in range(A.natoms):
+    for sim, run in m.structure.pattern_atoms.items():
         for i in range(n):
-            image = m.proj(i, 1 << a)
-            if points[i][a] is None:
+            if is_i_distinguishing(sim, i):
+                # proper case: the projection is the atom's value at i
+                ok &= all(m.proj(i, 1 << a) == 1 << m.structure.atoms[a].k[i] for a in run)
+            else:
                 # improper case: every vertex set is some projection above a
-                if image != 0 or any(m.proj(i, (1 << a) | lifted) != B
-                                     for B, lifted in zip(samples, lifts[i])):
-                    ok = False
-            elif image != 1 << points[i][a]:
-                ok = False
+                ok &= all(m.proj(i, 1 << a) == 0 and all(
+                    m.proj(i, (1 << a) | lifted) == B for B, lifted in zip(samples, lifts[i]))
+                    for a in run)
     report.add("projection of a principal ultrafilter", ok)
 
     ok = all(points[i][a] == points[j][a]

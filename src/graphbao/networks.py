@@ -21,10 +21,6 @@ from .bitset import iter_bits
 from .errors import IncoherentPatchError
 
 
-class NoAtomError(ValueError):
-    """No atom realizes the requested diagonal pattern and projections."""
-
-
 @dataclass
 class UfNetwork:
     n: int
@@ -166,14 +162,14 @@ def _face(v: tuple[int, ...], i: int) -> frozenset:
 def ultrafilter_for_tuple(p: PatchSystem, v: tuple[int, ...], m: AgsModel) -> int:
     """The atom with v's diagonal pattern whose value at each coordinate i
     where the pattern is i-distinguishing is the patch on the face opposite
-    i, and undefined elsewhere.  Raises NoAtomError when no atom has them,
-    which only an injective v can meet (its patches are independent)."""
+    i, and undefined elsewhere; IncoherentPatchError when no atom has them,
+    which only an injective v meets (its patches are independent)."""
     sim = canonical_partition(v)
     k = tuple(p.assign[_face(v, i)] if is_i_distinguishing(sim, i) else None
               for i in range(m.n))
     index = m.structure.lookup(k, sim)
     if index is None:
-        raise NoAtomError(f"patches at {sorted(set(v))} are independent")
+        raise IncoherentPatchError(f"patches at {sorted(set(v))} are independent")
     return index
 
 
@@ -188,11 +184,7 @@ def network_from_patch(p: PatchSystem, m: AgsModel) -> UfNetwork:
     n = m.n
     if not p.is_total(n):
         raise ValueError("patch system must be total on (n-1)-subsets")
-    try:
-        labels = {v: ultrafilter_for_tuple(p, v, m)
-                  for v in itertools.product(p.nodes, repeat=n)}
-    except NoAtomError as exc:
-        raise IncoherentPatchError(str(exc)) from exc
+    labels = {v: ultrafilter_for_tuple(p, v, m) for v in itertools.product(p.nodes, repeat=n)}
     net = UfNetwork(n, tuple(sorted(p.nodes)), labels)
     bad = validate_network(net, m, "polyadic")
     if bad:
@@ -216,35 +208,39 @@ def forall_moves(m: AgsModel, net: UfNetwork) -> list[GameMove]:
 
 
 def _moves_up_to_permutation(m: AgsModel, net: UfNetwork) -> list[GameMove]:
-    """forall_moves, in its order, keeping the first move of each class up
-    to coordinate permutation.
+    """forall_moves, in its order, keeping each (v, i) group whose face F, the
+    multiset of v off i, is new: one class of moves per face.
 
-    Take the fresh node z, w0 = v[i -> z], the stable permutation pi that
-    sorts w0 and its substitution table T_pi; (v, i, a) has the key
-    (w0 o pi, T_pi[a]).  Two moves with one key have one response set:
+    A class is a key (w0 o pi, T_pi[a]), with w0 = v[i -> z] for the fresh
+    node z, pi the stable permutation sorting w0 and T_pi its table.  Moves
+    with one key have one response set: label(w0 o pi) = T_pi[label(w0)] in
+    every valid network (the polyadic condition) and T_pi is a bijection, so
+    label(w0) = a exactly when label(w0 o pi) = T_pi[a], for both moves; and
+    _witnessed agrees on them, since (v[i -> w]) o pi is the other move's
+    witness tuple for w.  So they win or lose together: the first losing
+    move is the first of its class, the verdict and trace do not change, and
+    the search visits a subset of the positions it visits with every move.
+    (Another pi sorting w0 moves only coordinates off i where v repeats,
+    which a's pattern joins too, so by L3 it gives the same T_pi[a]: the
+    classes are the orbits under all n! permutations.)
 
-    * in every valid network, label(w0 o pi) = T_pi[label(w0)] (the
-      polyadic condition), and T_pi is a bijection for a permutation pi;
-    * so label(w0) = a exactly when label(w0 o pi) = T_pi[a], the same
-      condition for both moves; and _witnessed agrees on them, since
-      (v[i -> w]) o pi is the other move's witness tuple for w.
-
-    So moves with one key win or lose together: the first losing move is
-    the first of its class, so the verdict and trace do not change, and the
-    search visits a subset of the positions it visits with every move.  Any
-    other pi sorting w0 moves only coordinates off i where v repeats, which
-    a's pattern joins too (a is R_i-related to v's label), so by L3 it gives
-    the same T_pi[a]: the classes are the orbits under all n! permutations.
+    The key is the face: w0 sorts to S = F + (z,), z being the largest node,
+    so pi(n - 1) = i.  T_pi carries R_i classes into R_(n-1) classes (L2,
+    the Scylinj identity) and, with its inverse, maps the group's atoms, the
+    R_i class of label(v), onto the R_(n-1) class of T_pi[label(v)] =
+    label(v o pi).  Another group (v', i') with face F has v' o pi' equal to
+    v o pi off n - 1, so the valid network puts both labels in one R_(n-1)
+    class: the later group's keys are all keys of the first.  Within a group
+    the keys are distinct (T_pi is a bijection), so the first move of each
+    key is exactly the first whole group of a face.
     """
-    n, z, rel = m.n, max(net.nodes) + 1, m.algebra.rel
-    kept: dict[tuple, GameMove] = {}
+    faces, kept = set(), []
     for (v, i), moves in itertools.groupby(forall_moves(m, net), key=attrgetter("v", "i")):
-        w0 = v[:i] + (z,) + v[i + 1:]
-        row = rel.subst_for(tuple(sorted(range(n), key=w0.__getitem__)))
-        w0_sorted = tuple(sorted(w0))
-        for move in moves:
-            kept.setdefault((w0_sorted, row[move.atom]), move)
-    return list(kept.values())
+        face = tuple(sorted(v[:i] + v[i + 1:]))
+        if face not in faces:
+            faces.add(face)
+            kept += moves
+    return kept
 
 
 def _witnessed(net: UfNetwork, move: GameMove) -> bool:
@@ -321,13 +317,18 @@ def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove, witnessed: 
     one stops the search at its first labelling.
 
     In polyadic mode a tuple is c o sigma for a tuple c listing a maximal
-    node subset that holds its image.  The demanded atom is pre-assigned at
-    w0 unless an old tuple witnesses the move.  Along the plan of
-    _subset_tables, the search picks one label x_c per new maximal subset
-    from c's pattern mask, cut by the preimage of each labelled image's
-    label, and writes T_sigma[x_c] (T the substitution tables) at each free
-    image.  Every leaf is a response, by two facts about the tables (tests
-    pin them on every atom and map):
+    node subset that holds its image.  The demanded atom a is pre-assigned
+    at w0 unless an old tuple witnesses the move, and then a has w0's
+    pattern: a R_i label(v), so were a's pattern to join i to some j, the
+    i-neighbour t = v[i -> v[j]] would have it too, and label(t) = a as an
+    R_i class holds one atom per pattern joining i (fixed by its pattern and
+    its value at i, both kept by R_i); t would witness the move.
+    (paper_response asserts this; otherwise the cut at w0 leaves no pick.)
+    Along the plan of _subset_tables, the search picks one label x_c per new
+    maximal subset from c's pattern mask, cut by the preimage of each
+    labelled image's label, and writes T_sigma[x_c] (T the substitution
+    tables) at each free image.  Every leaf is a response, by two facts
+    about the tables (tests pin them on every atom and map):
 
     * L1: if sigma and sigma' agree off i, T_sigma[x] R_i T_sigma'[x];
     * L3: if sigma(j) and sigma'(j) share a block of x's partition for
@@ -355,9 +356,6 @@ def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove, witnessed: 
     v, i, a = move.v, move.i, move.atom
     nodes2 = net.nodes + (max(net.nodes) + 1,)
     w0 = v[:i] + (nodes2[-1],) + v[i + 1:]
-    # the demand must be witnessed by an old tuple or by the fresh one
-    if not witnessed and m.structure.atoms[a].sim != canonical_partition(w0):
-        return
     fresh, plan = _subset_tables(n, nodes2, None if witnessed else w0)
     order = [w0] + [t for t in fresh if t != w0]
     key = itemgetter(*order)
@@ -405,7 +403,7 @@ def exists_survives(m: AgsModel, depth: int, strategy: str = "exhaustive",
     exhaustive: ground truth at the given depth by backtracking over all
     challenger moves and all single-node responses, in a fixed order, so the
     verdict, trace and visit count are deterministic.  The challenger plays
-    one move per class up to coordinate permutation (see
+    one class of moves per face, the multiset of v off i (see
     _moves_up_to_permutation); `collect` still walks every move.  Responses
     come from _extension_networks, which labels one tuple per new maximal
     node subset and derives the rest through the substitution tables.  At

@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from oracles import (cyl_relatedness_pairwise, proj_per_bit, subst_atom_per_atom
                      with_cyl_classes)
 
 RELATEDNESS = "cylindric relatedness is diagonal agreement plus equal projection"
+PRINCIPAL = "projection of a principal ultrafilter"
 
 
 def random_graph(nv, p, rng):
@@ -115,6 +117,21 @@ class TestProjectionSuite:
         m = request.getfixturevalue(name)
         assert RELATEDNESS not in failing_items(m)
         assert cyl_relatedness_pairwise(m)
+
+    @pytest.mark.parametrize("name", ["k1_model", "k2_model"])
+    def test_moved_projection_point_fails_the_principal_item(self, name, request):
+        # one point a vertex off, with the lift masks rebuilt from it: the principal
+        # item reads the expected point off the atom, so it fails with the others
+        m = request.getfixturevalue(name)
+        points = [list(row) for row in m.proj_points]
+        a = next(a for a, point in enumerate(points[0]) if point is not None)
+        points[0][a] = (points[0][a] + 1) % m.vertex_count
+        broken = copy.copy(m)
+        broken.__dict__["proj_points"] = tuple(map(tuple, points))  # shadows the cached property
+        broken.__post_init__()
+        assert failing_items(broken) == {
+            PRINCIPAL, RELATEDNESS, "diagonal membership merges projections",
+            "unique distinguishing-diagonal atom per vertex", "substitution permutes projections"}
 
     @pytest.mark.parametrize("name", ["k1_model", "k2_model"])
     def test_atom_moved_to_another_class_fails(self, name, request):

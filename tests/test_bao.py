@@ -193,8 +193,8 @@ class TestSearchLemmas:
     map and coordinate.  L1 and L3 let the extension search keep every leaf
     without a check (see networks._extension_networks); that T_pi is a
     bijection of the atoms for each permutation pi lets the challenger play
-    one move per class (networks._moves_up_to_permutation); L2 is not used
-    there and stays pinned as a fact of the tables."""
+    one move per class, and with L2 makes each face one class
+    (networks._moves_up_to_permutation)."""
 
     def test_permutation_tables_are_bijections(self, probed_algebra):
         algebra, _, _ = probed_algebra

@@ -184,7 +184,7 @@ class TestUltrafilterForTuple:
 
     def test_incoherent_injective_raises(self, k1_model):
         p = self.patch(k1_model, (2, 2, 2))
-        with pytest.raises(networks.NoAtomError):
+        with pytest.raises(IncoherentPatchError):
             ultrafilter_for_tuple(p, (0, 1, 2), k1_model)
 
     def test_diagonal_pattern_always_matches(self, k1_model):
@@ -367,6 +367,27 @@ class TestExistsSurvives:
              else thinned_injective_model(complete_graph(name[0]), name[1]))
         fast, full = exists_survives(m, depth), exists_survives(m, depth, collect=[])
         assert (fast.status, fast.visited, fast.trace) == (full.status, full.visited, full.trace)
+
+    @pytest.mark.parametrize("name, depth, unwitnessed", [
+        ("k1_model", 2, 10251), ("k2_model", 2, 411948), ("k1_n4", 1, 196),
+        pytest.param((2, 5), 2, 4851, id="K2-thinned-5-2")])
+    def test_unwitnessed_demand_has_the_fresh_tuples_pattern(self, name, depth, unwitnessed,
+                                                             request):
+        # why _extension_networks needs no pattern guard: an atom R_i-related to
+        # label(v) whose pattern joins i to j is the label of v[i -> v[j]]
+        m = (request.getfixturevalue(name) if isinstance(name, str)
+             else thinned_injective_model(complete_graph(name[0]), name[1]))
+        collected = []
+        exists_survives(m, depth, collect=collected)
+        atoms, count = m.structure.atoms, 0
+        for net in {net.key(): net for net in collected}.values():
+            z = max(net.nodes) + 1
+            for move in forall_moves(m, net):
+                if not networks._witnessed(net, move):
+                    w0 = move.v[:move.i] + (z,) + move.v[move.i + 1:]
+                    assert atoms[move.atom].sim == canonical_partition(w0)
+                    count += 1
+        assert count == unwitnessed
 
     def test_last_round_response_from_two_nodes_in_pruned_oracle(self, k1_model,
                                                                  two_node_oracle):
