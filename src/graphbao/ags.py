@@ -11,6 +11,7 @@ always adjacent.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,14 +51,15 @@ class AgsModel:
         return chromatic_number(self.graph)[0]
 
     @cached_property
-    def preimage_masks(self) -> list[list[int]]:
-        """[rank][atom] -> mask of the atoms x with subst_tables[rank][x] == atom."""
-        tables = self.algebra.rel.subst_tables
-        masks = [[0] * self.algebra.natoms for _ in tables]
-        for row, table in zip(masks, tables):
-            for x, y in enumerate(table):
-                row[y] |= 1 << x
-        return masks
+    def completions(self) -> dict[tuple[int, ...], int]:
+        """(n-1)-tuple of vertices -> mask of the vertices that complete it
+        to an injective atom's values, read off those atoms (closed under
+        permuting coordinates, so the missing value may sit anywhere)."""
+        n, atoms = self.n, self.structure.atoms
+        table = dict.fromkeys(itertools.product(range(self.vertex_count), repeat=n - 1), 0)
+        for a in self.structure.pattern_atoms[tuple(range(n))]:
+            table[atoms[a].k[:-1]] |= 1 << atoms[a].k[-1]
+        return table
 
     @cached_property
     def proj_points(self) -> tuple[tuple[int | None, ...], ...]:

@@ -156,18 +156,18 @@ class AtomStructure:
         self.n = n
         self.inflated = inflate(base_graph, n)
         self.atoms: tuple[Atom, ...] = tuple(sorted(atoms, key=Atom.sort_key))
-        self._index = {(a.k, a.sim): i for i, a in enumerate(self.atoms)}
+        self.index = {(a.k, a.sim): i for i, a in enumerate(self.atoms)}  # (k, sim) -> atom index
         self._tables = None
 
     def __len__(self):
         return len(self.atoms)
 
     def index_of(self, atom: Atom) -> int:
-        return self._index[atom.k, atom.sim]
+        return self.index[atom.k, atom.sim]
 
     def lookup(self, k: tuple, sim: tuple[int, ...]) -> int | None:
         """The index of the atom (k, sim), or None when it is not valid."""
-        return self._index.get((k, sim))
+        return self.index.get((k, sim))
 
     @cached_property
     def pattern_atoms(self) -> dict[tuple[int, ...], range]:
@@ -190,7 +190,7 @@ class AtomStructure:
         """The index of each atom's image under sigma, from one subst_plan
         per pattern: its coordinates, n for an undefined value, pick the new
         k out of k + (None,) (n >= 3 indices make itemgetter give a tuple)."""
-        atoms, index = self.atoms, self._index
+        atoms, index = self.atoms, self.index
         table: list[int] = []
         for sim, run in self.pattern_atoms.items():  # the runs cover the atoms in order
             new_sim, coords = subst_plan(sim, sigma)

@@ -2,10 +2,11 @@
 
 Ultrafilters of the finite algebra are principal, so a network labels each
 n-tuple of nodes with an atom index, and a patch system assigns a vertex of
-the inflated graph to each (n-1)-subset of nodes.  The game is a bounded
-finite shadow of representation building: truncated at a fixed depth, it
-reports 'unknown' when a resource bound trips and never claims anything
-about the untruncated game.
+the inflated graph to each (n-1)-subset of nodes.  A valid network is fixed
+by its boundary patch system, so the builder's search runs on patches.  The
+game is a bounded finite shadow of representation building: truncated at a
+fixed depth, it reports 'unknown' when a resource bound trips and never
+claims anything about the untruncated game.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def network_from_patch(p: PatchSystem, m: AgsModel) -> UfNetwork:
     """
     n = m.n
     if not p.is_total(n):
-        raise ValueError("patch system must be total on (n-1)-subsets")
+        raise RuntimeError("patch system must be total on (n-1)-subsets")
     labels = {v: ultrafilter_for_tuple(p, v, m) for v in itertools.product(p.nodes, repeat=n)}
     net = UfNetwork(n, tuple(sorted(p.nodes)), labels)
     bad = validate_network(net, m, "polyadic")
@@ -280,105 +281,95 @@ def _check_getters(n: int, nodes: tuple[int, ...], tuples: tuple | None):
             tuple(map(canonical_partition, tuples)), neighbours, images)
 
 
+def _demand(m: AgsModel, w0: tuple[int, ...], a: int) -> dict[frozenset, int | None]:
+    """The patches a demand of the atom a at w0 names: on each face of w0
+    with n - 1 nodes, a's value at the coordinate opposite it.
+
+    An unwitnessed demand has w0's pattern, so these are all of a's values
+    and ultrafilter_for_tuple gives w0 the atom a: a R_i label(v), so were
+    a's pattern to join i to some j, v[i -> v[j]] would have it too and
+    carry a, as an R_i class holds one atom per pattern joining i (fixed by
+    its pattern and value at i, both kept by R_i), and witness the move."""
+    return {face: m.proj_points[j][a] for j in range(m.n) if len(face := _face(w0, j)) == m.n - 1}
+
+
 @functools.cache
-def _subset_tables(n: int, nodes: tuple[int, ...], w0: tuple[int, ...] | None):
-    """The plan for extending a valid network on `nodes[:-1]` by the node
-    z = `nodes[-1]`, with w0 pre-labelled (None when an old tuple witnesses
-    the move): the sorted fresh tuples (those holding z) and, per tuple c
-    listing a new maximal node subset in search order, c's diagonal pattern,
-    its images (rank, c o sigma) that are labelled when c is picked (old
-    tuples, w0, images of earlier subsets) and its free images, which the
-    pick labels.  Every tuple on c's node set is an image of c; each
-    appears once, with the first sigma in rank order that gives it."""
-    z = nodes[-1]
-    if len(nodes) <= n:
-        listings = [nodes + (z,) * (n - len(nodes))]
-    else:
-        listings = [c + (z,) for c in itertools.combinations(nodes[:-1], n - 1)]
-    labelled = {*itertools.product(nodes[:-1], repeat=n), w0}  # a None w0 is no tuple
-    plan = []
-    for c in listings:
-        images: dict[tuple[int, ...], int] = {}
-        for rank, sigma in enumerate(all_sigmas(n)):
-            images.setdefault(tuple(c[s] for s in sigma), rank)
-        plan.append((canonical_partition(c),
-                     [(rank, u) for u, rank in images.items() if u in labelled],
-                     [(rank, u) for u, rank in images.items() if u not in labelled]))
-        labelled.update(images)
+def _face_plan(n: int, nodes: tuple[int, ...], fixed: frozenset):
+    """The search for extensions of a network on nodes[:-1] by z = nodes[-1]
+    with the new faces in `fixed` given.  Faces ((n-1)-subsets) are numbered
+    in combinations order, with a None slot after them.  Returns the ids;
+    per old face its id and the 0-distinguishing tuple (f0, ..., f_(n-2),
+    f0) whose patch it is; the other new faces (those holding z) in order,
+    each with getters of the other patches of every new n-subset whose last
+    open face it is; the sorted fresh tuples; per fresh tuple a getter of
+    its values (the patches opposite its distinguishing coordinates) and
+    its pattern."""
+    z, old_nodes = nodes[-1], nodes[:-1]
+    ids = {frozenset(c): pos for pos, c in enumerate(itertools.combinations(nodes, n - 1))}
+    old = tuple((ids[frozenset(c)], c + c[:1]) for c in itertools.combinations(old_nodes, n - 1))
+    steps = {ids[face]: [] for c in itertools.combinations(old_nodes, n - 2)
+             if (face := frozenset(c + (z,))) not in fixed}
+    for c in itertools.combinations(old_nodes, n - 1):
+        faces = [ids[frozenset(c + (z,)) - {x}] for x in c + (z,)]
+        last = max((face for face in faces if face in steps), default=None)
+        if last is not None:
+            steps[last].append(itemgetter(*[face for face in faces if face != last]))
     fresh = tuple(sorted(t for t in itertools.product(nodes, repeat=n) if z in t))
-    return fresh, tuple(plan)
+    leaves = tuple((itemgetter(*[ids[_face(t, j)] if is_i_distinguishing(sim, j) else len(ids)
+                                 for j in range(n)]), sim)
+                   for t, sim in zip(fresh, map(canonical_partition, fresh)))
+    return ids, old, tuple(steps.items()), fresh, leaves
 
 
 def _extension_networks(m: AgsModel, net: UfNetwork, move: GameMove, witnessed: bool,
                         ordered: bool):
-    """Every valid network on one fresh node that witnesses the move.  With
-    `ordered` they come sorted by their labels on w0, then on the other
-    fresh tuples; without, lazily in search order, so a caller that takes
-    one stops the search at its first labelling.
+    """Every valid network on one fresh node z that witnesses the move.
+    With `ordered` they come sorted by their labels on w0, then on the fresh
+    tuples in sorted order; without, lazily in search order, so a caller
+    that takes one stops the search at its first labelling.
 
-    In polyadic mode a tuple is c o sigma for a tuple c listing a maximal
-    node subset that holds its image.  The demanded atom a is pre-assigned
-    at w0 unless an old tuple witnesses the move, and then a has w0's
-    pattern: a R_i label(v), so were a's pattern to join i to some j, the
-    i-neighbour t = v[i -> v[j]] would have it too, and label(t) = a as an
-    R_i class holds one atom per pattern joining i (fixed by its pattern and
-    its value at i, both kept by R_i); t would witness the move.
-    (paper_response asserts this; otherwise the cut at w0 leaves no pick.)
-    Along the plan of _subset_tables, the search picks one label x_c per new
-    maximal subset from c's pattern mask, cut by the preimage of each
-    labelled image's label, and writes T_sigma[x_c] (T the substitution
-    tables) at each free image.  Every leaf is a response, by two facts
-    about the tables (tests pin them on every atom and map):
-
-    * L1: if sigma and sigma' agree off i, T_sigma[x] R_i T_sigma'[x];
-    * L3: if sigma(j) and sigma'(j) share a block of x's partition for
-      every j, T_sigma[x] = T_sigma'[x].
-
-    Each tuple c o sigma carries T_sigma[x_c]: the pick writes it, or the
-    preimage cut forces it if the tuple is already labelled (old, w0, or
-    an earlier subset's).  x_c has c's pattern, so by L3 every sigma giving
-    the tuple gives that label.  So each cylindric line through the fresh
-    node stays in one R_i class.  Take t fresh, u = t[i -> w] and
-    v = t[i -> t[j]] with j != i: v = u[i -> u[j]] lies in every node set
-    that holds t or u.  With t = c o sigma and sigma' = sigma[i -> sigma(j)],
-    c o sigma' = v, so L1 gives label(t) R_i label(v).  The same holds
-    for u if it is fresh; if u is old, so is v, and the valid parent
-    relates them.  R_i is an equivalence.  (With at most n nodes the one
-    listing holds every node, so each cylindric neighbour is one of its
-    images.)
-
-    Each network is still validated on its fresh tuples, a guard that
-    raises RuntimeError; that is the full check because the parent is
-    valid (a tuple without the fresh node has no image with it, and the
-    cylindric relation is symmetric).
+    A valid network is fixed by its patches and labels each tuple by
+    ultrafilter_for_tuple; an n-subset is coherent exactly when its n
+    patches are the values of an injective atom (a test pins this on the
+    networks the game collects).  The old faces keep the parent's patches.
+    An unwitnessed demand fixes the new faces of w0 to the atom's values
+    (_demand; the old face opposite i agrees, as a R_i label(v)).  The
+    search fills the other new faces in order and, at the last open face of
+    each new n-subset, keeps the vertices that complete its other patches
+    to an injective atom's values (AgsModel.completions); the n-subset of
+    w0, if all its faces are fixed, holds the demanded atom's values.  Each
+    leaf is validated on its fresh tuples, a guard that raises RuntimeError;
+    that is the full check because the parent is valid (a tuple without z
+    has no image with it, and the cylindric relation is symmetric).
     """
-    n = m.n
-    v, i, a = move.v, move.i, move.atom
-    nodes2 = net.nodes + (max(net.nodes) + 1,)
-    w0 = v[:i] + (nodes2[-1],) + v[i + 1:]
-    fresh, plan = _subset_tables(n, nodes2, None if witnessed else w0)
-    order = [w0] + [t for t in fresh if t != w0]
-    key = itemgetter(*order)
-    tables, preimage_masks = m.algebra.rel.subst_tables, m.preimage_masks
-    pattern_masks = m.structure.pattern_masks
-    assigned = dict(net.labels) if witnessed else {**net.labels, w0: a}
+    n, v, i, a = m.n, move.v, move.i, move.atom
+    z = max(net.nodes) + 1
+    nodes2, w0 = net.nodes + (z,), v[:i] + (z,) + v[i + 1:]
+    demand = {} if witnessed else {face: point for face, point in _demand(m, w0, a).items()
+                                   if z in face}
+    ids, old, steps, fresh, leaves = _face_plan(n, nodes2, frozenset(demand))
+    patch = [None] * (len(ids) + 1)
+    for face, t in old:
+        patch[face] = m.proj_points[0][net.labels[t]]
+    for face, point in demand.items():
+        patch[ids[face]] = point
+    completions, index, vtop = m.completions, m.structure.index, m.vtop
 
-    def label(pos):
-        if pos == len(plan):
-            yield key(assigned)
+    def fill(pos):
+        if pos == len(steps):
+            yield tuple([index[get(patch), sim] for get, sim in leaves])
             return
-        pattern, images, free = plan[pos]
-        mask = pattern_masks.get(pattern, 0)
-        for rank, u in images:
-            mask &= preimage_masks[rank][assigned[u]]
-        # a later subset reads only what the plan says is labelled before it
+        face, checks = steps[pos]
+        mask = vtop
+        for get in checks:
+            mask &= completions[get(patch)]
         for x in iter_bits(mask):
-            for rank, u in free:
-                assigned[u] = tables[rank][x]
-            yield from label(pos + 1)
+            patch[face] = x
+            yield from fill(pos + 1)
 
-    for row in sorted(label(0)) if ordered else label(0):
-        net2 = UfNetwork(n, nodes2, {**net.labels, **dict(zip(order, row))})
+    at_w0 = fresh.index(w0)
+    for row in sorted(fill(0), key=lambda row: (row[at_w0], row)) if ordered else fill(0):
+        net2 = UfNetwork(n, nodes2, {**net.labels, **dict(zip(fresh, row))})
         bad = validate_network(net2, m, "polyadic", tuples=fresh)
         if bad:
             raise RuntimeError(f"search produced an invalid network: {bad[0]}")
@@ -405,10 +396,11 @@ def exists_survives(m: AgsModel, depth: int, strategy: str = "exhaustive",
     verdict, trace and visit count are deterministic.  The challenger plays
     one class of moves per face, the multiset of v off i (see
     _moves_up_to_permutation); `collect` still walks every move.  Responses
-    come from _extension_networks, which labels one tuple per new maximal
-    node subset and derives the rest through the substitution tables.  At
-    the last round any response wins, so the first labelling the search
-    finds answers the move; only `collect` still gets them all, sorted.
+    come from _extension_networks, which fills the patches on the new faces,
+    checking each new n-subset for coherence at its last open face, and
+    labels the fresh tuples by atom lookup.  At the last round any response
+    wins, so the first one the search finds answers the move; only
+    `collect` still gets them all, sorted.
     paper: follow the two-step ultrafilter/patch construction; on finite
     models its second step eventually demands an ultrafilter of the set sort
     free of independent sets, which no principal ultrafilter is, and that
@@ -480,11 +472,7 @@ def paper_response(m: AgsModel, net: UfNetwork, move: GameMove,
     nodes2 = net.nodes + (z,)
     w0 = v[:i] + (z,) + v[i + 1:]
     assign = dict(boundary(net, m).assign)
-    for j in range(n):
-        others = _face(w0, j)
-        if len(others) != n - 1:
-            continue
-        point = m.proj_point(a, j)
+    for others, point in _demand(m, w0, a).items():
         assert point is not None
         if assign.setdefault(others, point) != point:
             raise AssertionError("patch disagrees with the old boundary")
@@ -504,10 +492,16 @@ def paper_response(m: AgsModel, net: UfNetwork, move: GameMove,
 
 def _paper_verdict(m: AgsModel, net0: UfNetwork, depth: int,
                    collect: list | None) -> GameVerdict:
+    """Walk the strategy's answers to one class of moves per face
+    (_moves_up_to_permutation).  The moves of a class are witnessed
+    together, and otherwise name the same patches on w0's node set, so they
+    get one answer or one precondition failure.  A walk over every move
+    thus meets its first failure at the first move of a class, below first
+    moves only: status, round and reason are the same."""
     def walk(net, d, round_no):
         if d == 0:
             return
-        for move in forall_moves(m, net):
+        for move in _moves_up_to_permutation(m, net):
             net2 = paper_response(m, net, move, round_no)
             if collect is not None and net2 is not net:
                 collect.append(net2)
@@ -529,10 +523,11 @@ def sample_play(m: AgsModel, rounds: int, strategy: str = "exhaustive") -> list[
     net = initial_network(m)
     states = [GameState(0, net)]
     for r in range(rounds):
-        moves = forall_moves(m, net)
+        moves = _moves_up_to_permutation(m, net)
         if not moves:
             break
         # prefer a challenge no existing tuple witnesses, so the play grows
+        # (the first such move is the first of its class)
         move = next((mv for mv in moves if not _witnessed(net, mv)), moves[0])
         try:
             net2 = (paper_response(m, net, move, r) if strategy == "paper"

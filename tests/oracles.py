@@ -7,20 +7,20 @@ import heapq
 import itertools
 import random
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from operator import itemgetter
 
-from graphbao.ags import build_model
-from graphbao.atoms import (Atom, all_partitions, all_sigmas, canonical_partition, compose_sigma,
-                            is_i_distinguishing, missed_coordinate, num_blocks,
-                            partition_pair_block, restrict_partition, subst_partition,
-                            subst_plan)
-from graphbao.bao import FiniteBao, RelStructure
+from graphbao.ags import AgsModel, build_model
+from graphbao.atoms import (Atom, AtomStructure, all_partitions, all_sigmas, canonical_partition,
+                            compose_sigma, enumerate_atoms, is_i_distinguishing,
+                            missed_coordinate, num_blocks, partition_pair_block,
+                            restrict_partition, subst_partition, subst_plan)
+from graphbao.bao import FiniteBao, RelStructure, complex_algebra
 from graphbao.bitset import gather_lanes, iter_bits, lanewise
 from graphbao.equations import UnboundVariableError, Verdict
 from graphbao.errors import InfeasibleError, SizeLimitError
 from graphbao.graph import Graph, inflate
-from graphbao.networks import UfNetwork, ultrafilter_for_tuple
+from graphbao.networks import UfNetwork, ultrafilter_for_tuple, validate_network
 from graphbao.report import Report
 
 
@@ -271,15 +271,133 @@ def moves_up_to_orbit(m, net, moves) -> list:
 
 
 def thinned_injective_model(g: Graph, step: int):
-    """A model over g at n = 3 whose extension search picks only every
-    step-th atom of the injective pattern: a mutant that loses the game at
-    depth 2 or 3, for tests of `loses` verdicts and traces."""
+    """A model over g at n = 3 on which extension_networks_by_tables picks
+    only every step-th atom of the injective pattern: a mutant that loses
+    the game at depth 2 or 3, for tests of `loses` verdicts and traces.  It
+    is not closed under coordinate permutation, so it has no patch form."""
     m = build_model(g, 3)
     masks = dict(m.structure.pattern_masks)
     injective = tuple(range(m.n))
     masks[injective] = sum(1 << a for a in list(iter_bits(masks[injective]))[::step])
     m.structure.__dict__["pattern_masks"] = masks  # shadows the cached property
     return m
+
+
+def thinned_multiset_model(g: Graph, step: int):
+    """A model over g at n = 3 whose atom structure keeps, of the injective
+    atoms, only those whose sorted value tuple is every step-th one: a
+    mutant closed under coordinate permutation, so both ∃ searches run on
+    it, for tests of `loses` verdicts that hold them to each other."""
+    full = enumerate_atoms(g, 3)
+    injective = (0, 1, 2)
+    values = sorted({tuple(sorted(full.atoms[a].k)) for a in full.pattern_atoms[injective]})
+    kept = set(values[::step])
+    structure = AtomStructure(g, 3, [atom for atom in full.atoms if atom.sim != injective
+                                     or tuple(sorted(atom.k)) in kept])
+    return AgsModel(complex_algebra(structure), structure, g, 3)
+
+
+def preimage_masks(m) -> list[list[int]]:
+    """[rank][atom] -> mask of the atoms x with subst_tables[rank][x] == atom,
+    built once per model and kept on it."""
+    if "_preimage_masks" not in vars(m):
+        tables = m.algebra.rel.subst_tables
+        masks = [[0] * m.algebra.natoms for _ in tables]
+        for row, table in zip(masks, tables):
+            for x, y in enumerate(table):
+                row[y] |= 1 << x
+        m._preimage_masks = masks
+    return m._preimage_masks
+
+
+@cache
+def subset_tables(n: int, nodes: tuple[int, ...], w0: tuple[int, ...] | None):
+    """The plan for extending a valid network on `nodes[:-1]` by the node
+    z = `nodes[-1]`, with w0 pre-labelled (None when an old tuple witnesses
+    the move): the sorted fresh tuples (those holding z) and, per tuple c
+    listing a new maximal node subset in search order, c's diagonal pattern,
+    its images (rank, c o sigma) that are labelled when c is picked (old
+    tuples, w0, images of earlier subsets) and its free images, which the
+    pick labels.  Every tuple on c's node set is an image of c; each
+    appears once, with the first sigma in rank order that gives it."""
+    z = nodes[-1]
+    if len(nodes) <= n:
+        listings = [nodes + (z,) * (n - len(nodes))]
+    else:
+        listings = [c + (z,) for c in itertools.combinations(nodes[:-1], n - 1)]
+    labelled = {*itertools.product(nodes[:-1], repeat=n), w0}  # a None w0 is no tuple
+    plan = []
+    for c in listings:
+        images: dict[tuple[int, ...], int] = {}
+        for rank, sigma in enumerate(all_sigmas(n)):
+            images.setdefault(tuple(c[s] for s in sigma), rank)
+        plan.append((canonical_partition(c),
+                     [(rank, u) for u, rank in images.items() if u in labelled],
+                     [(rank, u) for u, rank in images.items() if u not in labelled]))
+        labelled.update(images)
+    fresh = tuple(sorted(t for t in itertools.product(nodes, repeat=n) if z in t))
+    return fresh, tuple(plan)
+
+
+def extension_networks_by_tables(m, net, move, witnessed: bool, ordered: bool):
+    """The ∃ search on labels, a drop-in for networks._extension_networks:
+    every valid network on one fresh node that witnesses the move, sorted
+    by the labels on w0, then on the other fresh tuples, unless `ordered`
+    is false.
+
+    The demanded atom a is pre-assigned at w0 unless an old tuple witnesses
+    the move.  Along the plan of subset_tables, the search picks one label
+    x_c per new maximal subset from c's pattern mask, cut by the preimage
+    of each labelled image's label, and writes T_sigma[x_c] (T the
+    substitution tables) at each free image.  Every leaf is a response, by
+    two facts about the tables (test_bao.TestSearchLemmas pins them):
+
+    * L1: if sigma and sigma' agree off i, T_sigma[x] R_i T_sigma'[x];
+    * L3: if sigma(j) and sigma'(j) share a block of x's partition for
+      every j, T_sigma[x] = T_sigma'[x].
+
+    Each tuple c o sigma carries T_sigma[x_c]: the pick writes it, or the
+    preimage cut forces it if the tuple is already labelled.  x_c has c's
+    pattern, so by L3 every sigma giving the tuple gives that label.  So
+    each cylindric line through the fresh node stays in one R_i class.
+    Take t fresh, u = t[i -> w] and v = t[i -> t[j]] with j != i:
+    v = u[i -> u[j]] lies in every node set that holds t or u.  With
+    t = c o sigma and sigma' = sigma[i -> sigma(j)], c o sigma' = v, so L1
+    gives label(t) R_i label(v).  The same holds for u if it is fresh; if
+    u is old, so is v, and the valid parent relates them.  Each network is
+    still validated on its fresh tuples (RuntimeError).
+    """
+    n = m.n
+    v, i, a = move.v, move.i, move.atom
+    nodes2 = net.nodes + (max(net.nodes) + 1,)
+    w0 = v[:i] + (nodes2[-1],) + v[i + 1:]
+    fresh, plan = subset_tables(n, nodes2, None if witnessed else w0)
+    order = [w0] + [t for t in fresh if t != w0]
+    key = itemgetter(*order)
+    tables, preimages = m.algebra.rel.subst_tables, preimage_masks(m)
+    pattern_masks = m.structure.pattern_masks
+    assigned = dict(net.labels) if witnessed else {**net.labels, w0: a}
+
+    def label(pos):
+        if pos == len(plan):
+            yield key(assigned)
+            return
+        pattern, images, free = plan[pos]
+        mask = pattern_masks.get(pattern, 0)
+        for rank, u in images:
+            mask &= preimages[rank][assigned[u]]
+        # a later subset reads only what the plan says is labelled before it
+        for x in iter_bits(mask):
+            for rank, u in free:
+                assigned[u] = tables[rank][x]
+            yield from label(pos + 1)
+
+    for row in sorted(label(0)) if ordered else label(0):
+        net2 = UfNetwork(n, nodes2, {**net.labels, **dict(zip(order, row))})
+        bad = validate_network(net2, m, "polyadic", tuples=fresh)
+        if bad:
+            raise RuntimeError(f"search produced an invalid network: {bad[0]}")
+        yield net2
 
 
 def cyl_per_bit(algebra, i: int, x: int) -> int:

@@ -9,7 +9,7 @@ from graphbao.atoms import all_sigmas, sigma_rank
 from graphbao.bao import FiniteBao
 from graphbao.bitset import iter_bits
 from graphbao.graph import Graph, chromatic_number, complete_graph, cycle_graph, path_graph
-from oracles import (cyl_relatedness_pairwise, proj_per_bit, subst_atom_per_atom,
+from oracles import (cyl_relatedness_pairwise, preimage_masks, proj_per_bit, subst_atom_per_atom,
                      substitution_properties_per_element, theta_by_cover_search, theta_literal,
                      with_cyl_classes)
 
@@ -234,7 +234,8 @@ class TestSubstitutionSuite:
     @pytest.mark.parametrize("graph, n", [(complete_graph(1), 3), (complete_graph(2), 3),
                                           (complete_graph(1), 4)], ids=["K1n3", "K2n3", "K1n4"])
     def test_preimage_masks_match_subst_atom(self, graph, n):
-        # derived from the atom action itself, not from subst_tables
+        # the table search's masks (oracles.preimage_masks), against the
+        # atom action itself, not against subst_tables
         m = ags.build_model(graph, n)
         atoms = m.structure.atoms
         expected = []
@@ -243,9 +244,9 @@ class TestSubstitutionSuite:
             for x, atom in enumerate(atoms):
                 row[m.structure.index_of(subst_atom_per_atom(atom, sigma))] |= 1 << x
             expected.append(row)
-        assert [list(row) for row in m.preimage_masks] == expected
+        assert [list(row) for row in preimage_masks(m)] == expected
         everything = (1 << len(atoms)) - 1
-        for row in m.preimage_masks:
+        for row in preimage_masks(m):
             union = 0
             for mask in row:
                 assert not union & mask

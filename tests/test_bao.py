@@ -190,11 +190,11 @@ class TestKernelsAgainstOracles:
 
 class TestSearchLemmas:
     """Facts about the stored tables T_sigma and R_i classes, on every atom,
-    map and coordinate.  L1 and L3 let the extension search keep every leaf
-    without a check (see networks._extension_networks); that T_pi is a
-    bijection of the atoms for each permutation pi lets the challenger play
-    one move per class, and with L2 makes each face one class
-    (networks._moves_up_to_permutation)."""
+    map and coordinate.  L1 and L3 let the oracle's search on labels keep
+    every leaf without a check (oracles.extension_networks_by_tables); that
+    T_pi is a bijection of the atoms for each permutation pi lets the
+    challenger play one move per class, and with L2 makes each face one
+    class (networks._moves_up_to_permutation)."""
 
     def test_permutation_tables_are_bijections(self, probed_algebra):
         algebra, _, _ = probed_algebra

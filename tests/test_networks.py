@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+import oracles
 from graphbao import ags, networks
 from graphbao.atoms import Atom, all_sigmas, canonical_partition
 from graphbao.errors import IncoherentPatchError
@@ -15,8 +16,24 @@ from graphbao.networks import (GameMove, PatchSystem, UfNetwork, boundary,
                                ultrafilter_for_tuple, validate_network)
 from oracles import (coherent_via_atom_search, moves_up_to_orbit, naive_game_moves,
                      naive_game_responses, naive_survives, network_from_patch_by_orbits,
-                     pruned_game_responses, thinned_injective_model,
+                     pruned_game_responses, thinned_injective_model, thinned_multiset_model,
                      validate_network_per_tuple)
+
+
+@pytest.fixture
+def table_engine(monkeypatch):
+    """The game with the ∃ search on labels and substitution tables
+    (oracles.extension_networks_by_tables) in place of the patch search."""
+    monkeypatch.setattr(networks, "_extension_networks", oracles.extension_networks_by_tables)
+
+
+def model_named(name, request):
+    """A model fixture by name, or for a (g, step) name the K_g mutant of
+    thinned_injective_model, which only the table search can run."""
+    if isinstance(name, str):
+        return request.getfixturevalue(name)
+    request.getfixturevalue("table_engine")
+    return thinned_injective_model(complete_graph(name[0]), name[1])
 
 
 class TestValidate:
@@ -155,6 +172,23 @@ class TestCoherence:
     def test_patch_system_coherent_all_subsets(self, k1_model):
         assert patch_system_coherent(self.patch((0, 1, 2)), k1_model)
 
+    @pytest.mark.parametrize("graph, n", [
+        (complete_graph(1), 3), (complete_graph(2), 3), (complete_graph(3), 3),
+        (path_graph(3), 3), (cycle_graph(5), 3), (complete_graph(1), 4), (complete_graph(2), 4)],
+        ids=["K1n3", "K2n3", "K3n3", "P3n3", "C5n3", "K1n4", "K2n4"])
+    def test_completions_follow_the_edge_rule(self, graph, n):
+        # the search's table, read off the injective atoms, against the
+        # graph: x completes the other n - 1 patches of an n-subset exactly
+        # when is_coherent accepts the n patches
+        m = ags.build_model(graph, n)
+        nodes = tuple(range(n))
+        faces = [frozenset(nodes) - {x} for x in nodes]
+        assert len(m.completions) == m.vertex_count ** (n - 1)
+        for others in itertools.product(range(m.vertex_count), repeat=n - 1):
+            assert m.completions[others] == sum(
+                1 << x for x in range(m.vertex_count)
+                if is_coherent(PatchSystem(nodes, dict(zip(faces, others + (x,)))), nodes, m))
+
 
 class TestUltrafilterForTuple:
     def patch(self, k1_model, points):
@@ -233,7 +267,9 @@ class TestNetworkFromPatch:
             checked += 1
         assert checked == 24
 
-    @pytest.mark.parametrize("name, count", [("k1_model", 379), ("k2_model", 2917)])
+    @pytest.mark.parametrize("name, count", [("k1_model", 379), ("k2_model", 2917),
+                                             ("k3_model", 9559), ("p3_model", 9343),
+                                             ("k1_n4", 201)])
     def test_boundary_determines_network(self, name, count, request):
         m = request.getfixturevalue(name)
         collected = []
@@ -241,6 +277,12 @@ class TestNetworkFromPatch:
         assert len(collected) == count
         for net in collected:
             assert network_from_patch(boundary(net, m), m) == net
+
+    def test_partial_patch_system_is_an_internal_error(self, k1_model):
+        # not a usage error: cli.main reports a ValueError with exit code 2
+        p = PatchSystem((0, 1, 2), {frozenset((0, 1)): 0})
+        with pytest.raises(RuntimeError, match="must be total"):
+            network_from_patch(p, k1_model)
 
     def test_incoherent_patch_rejected(self, k1_model):
         nodes = (0, 1, 2)
@@ -288,6 +330,8 @@ class TestForallMoves:
 
 
 class TestExtensionPlan:
+    """The plan of the oracle's search on labels."""
+
     @pytest.mark.parametrize("n, nodes, stride", [
         (3, (0, 1), 1), (3, (0, 1, 2), 1), (3, (0, 1, 2, 3), 1), (4, (0, 1, 2, 3, 4), 9)])
     def test_plan_labels_each_fresh_tuple_once(self, n, nodes, stride):
@@ -302,7 +346,7 @@ class TestExtensionPlan:
         else:
             listings = [c + (z,) for c in itertools.combinations(nodes[:-1], n - 1)]
         for w0 in [None] + w0s[::stride]:
-            fresh, plan = networks._subset_tables(n, nodes, w0)
+            fresh, plan = oracles.subset_tables(n, nodes, w0)
             assert fresh == tuple(sorted(set(itertools.product(nodes, repeat=n)) - old))
             labelled = old | {w0} - {None}
             assert len(plan) == len(listings)
@@ -362,21 +406,37 @@ class TestExistsSurvives:
           for g in (1, 2) for depth in (2, 3) for step in (2, 3, 5)]])
     def test_last_round_answer_matches_full_enumeration(self, name, depth, request):
         # collect forces the sorted enumeration, and every move, at every round;
-        # a (g, step) name is the K_g mutant of thinned_injective_model, which loses
-        m = (request.getfixturevalue(name) if isinstance(name, str)
-             else thinned_injective_model(complete_graph(name[0]), name[1]))
+        # a (g, step) name is a mutant that loses (model_named)
+        m = model_named(name, request)
         fast, full = exists_survives(m, depth), exists_survives(m, depth, collect=[])
         assert (fast.status, fast.visited, fast.trace) == (full.status, full.visited, full.trace)
+
+    @pytest.mark.parametrize("g, step, depth", [
+        (g, step, depth) for g in (1, 2) for step in (2, 3, 5) for depth in (2, 3)])
+    def test_multiset_mutant_verdicts_match_the_table_search(self, g, step, depth, request):
+        m = thinned_multiset_model(complete_graph(g), step)
+        patches = exists_survives(m, depth)
+        request.getfixturevalue("table_engine")
+        tables = exists_survives(m, depth)
+        assert (patches.status, patches.visited, patches.trace) == (
+            tables.status, tables.visited, tables.trace)
+
+    def test_pinned_multiset_mutant_loses(self):
+        # with every fifth value multiset of the injective atoms kept, no
+        # answer to the demand of atom 7 at the constant tuple's coordinate 0
+        # survives a second round
+        verdict = exists_survives(thinned_multiset_model(complete_graph(1), 5), 2)
+        assert (verdict.status, verdict.visited, verdict.trace) == (
+            "loses", 3, [{"v": [0, 0, 0], "i": 0, "atom": 7}])
 
     @pytest.mark.parametrize("name, depth, unwitnessed", [
         ("k1_model", 2, 10251), ("k2_model", 2, 411948), ("k1_n4", 1, 196),
         pytest.param((2, 5), 2, 4851, id="K2-thinned-5-2")])
     def test_unwitnessed_demand_has_the_fresh_tuples_pattern(self, name, depth, unwitnessed,
                                                              request):
-        # why _extension_networks needs no pattern guard: an atom R_i-related to
+        # why a demand names w0's faces (_demand): an atom R_i-related to
         # label(v) whose pattern joins i to j is the label of v[i -> v[j]]
-        m = (request.getfixturevalue(name) if isinstance(name, str)
-             else thinned_injective_model(complete_graph(name[0]), name[1]))
+        m = model_named(name, request)
         collected = []
         exists_survives(m, depth, collect=collected)
         atoms, count = m.structure.atoms, 0
@@ -389,6 +449,29 @@ class TestExistsSurvives:
                     count += 1
         assert count == unwitnessed
 
+    @pytest.mark.parametrize("name, moves", [
+        ("k1_model", 516), ("k2_model", 3189), ("p3_model", 9750), ("k1_n4", 328)])
+    def test_patch_search_matches_table_search_on_every_move(self, name, moves, request):
+        # the same responses in the same order on every move of every
+        # network the depth-1 game collects; lazily, each search walks its own
+        # order, so only the first response's existence must agree
+        m = request.getfixturevalue(name)
+        collected = []
+        exists_survives(m, 1, collect=collected)
+        walked = 0
+        for net in {net.key(): net for net in collected}.values():
+            for move in forall_moves(m, net):
+                witnessed = networks._witnessed(net, move)
+                patches = [n.key() for n in networks._extension_networks(
+                    m, net, move, witnessed, True)]
+                assert patches == [n.key() for n in oracles.extension_networks_by_tables(
+                    m, net, move, witnessed, True)]
+                first = next(networks._extension_networks(m, net, move, witnessed, False), None)
+                assert (first is None) == (not patches)
+                assert first is None or first.key() in patches
+                walked += 1
+        assert walked == moves
+
     def test_last_round_response_from_two_nodes_in_pruned_oracle(self, k1_model,
                                                                  two_node_oracle):
         # the one response the last round asks for
@@ -399,27 +482,32 @@ class TestExistsSurvives:
             assert first is None or first.key() in oracle
 
     def test_response_sets_from_three_nodes_match_pruned_oracle(self, k1_model, monkeypatch):
-        # 4-node extensions: three new maximal node subsets, which overlap
+        # 4-node extensions: three new faces and three new 3-subsets, which overlap
         collected = []
         exists_survives(k1_model, 2, collect=collected)
         net = next(net for net in collected if len(net.nodes) == 3)
         moves = forall_moves(k1_model, net)
         assert len(moves) == 648
-        tried = []  # the popcount of every candidate mask the search walks
-        iter_bits_ = networks.iter_bits
-        monkeypatch.setattr(networks, "iter_bits",
-                            lambda mask: tried.append(mask.bit_count()) or iter_bits_(mask))
+        tried = {networks: [], oracles: []}  # per search, the popcount of each mask it walks
+        for module, walked in tried.items():
+            monkeypatch.setattr(module, "iter_bits", lambda mask, walked=walked, bits=(
+                module.iter_bits): walked.append(mask.bit_count()) or bits(mask))
         in_order = []
         for move in moves[::16]:
             engine = list(exists_responses(k1_model, net, move))
             oracle = pruned_game_responses(k1_model, net, (move.v, move.i, move.atom))
             assert {n.key() for n in engine} == {n.key() for n in oracle}
+            witnessed = networks._witnessed(net, move)
+            assert [n.key() for n in engine[witnessed:]] == [n.key() for n in (
+                oracles.extension_networks_by_tables(k1_model, net, move, witnessed, True))]
             in_order += engine
         assert len(in_order) == 519
         assert self.digest(in_order) == "84f35c848ae091c3"
-        # the candidates the pattern and preimage cuts leave, summed over
-        # every subset's pick; a dead end shows one or two subsets later
-        assert sum(tried) == 1362
+        # the candidates each search walks, summed over its picks: the
+        # table search cuts each pick by the labels placed before it, so a
+        # dead end shows one or two subsets later; the patch search checks
+        # each new 3-subset at its last open face
+        assert (sum(tried[networks]), sum(tried[oracles])) == (755, 1362)
 
     @staticmethod
     def digest(networks_in_order):
@@ -457,7 +545,7 @@ class TestExistsSurvives:
         assert (verdict.visited, len(collected), self.digest(collected)) == pinned
 
     @pytest.mark.parametrize("g, step, visited", [(1, 2, 21), (2, 5, 57)])
-    def test_pinned_thinned_mutant_loses(self, g, step, visited):
+    def test_pinned_thinned_mutant_loses(self, g, step, visited, table_engine):
         # with only every step-th injective atom to pick from, no answer to the
         # first move (the constant tuple demands its own label) survives two rounds
         verdict = exists_survives(thinned_injective_model(complete_graph(g), step), 3)
@@ -506,6 +594,17 @@ class TestPaperStrategy:
         exists_survives(k1_model, 1, strategy="paper", collect=collected)
         for net in collected:
             assert validate_network(net, k1_model, "polyadic") == []
+
+    @pytest.mark.parametrize("name", ["k1_model", "k2_model", "p3_model"])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_face_classes_keep_the_verdict_of_every_move(self, name, depth, request,
+                                                         monkeypatch):
+        m = request.getfixturevalue(name)
+        classes = exists_survives(m, depth, strategy="paper")
+        monkeypatch.setattr(networks, "_moves_up_to_permutation", forall_moves)
+        every = exists_survives(m, depth, strategy="paper")
+        assert (classes.status, classes.round_failed, classes.reason) == (
+            every.status, every.round_failed, every.reason)
 
     def test_paper_response_keeps_old_labels(self, k1_model):
         net = initial_network(k1_model)
